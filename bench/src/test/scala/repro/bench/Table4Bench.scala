@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{ExpScale, Tables}
+import repro.exp.Tables
 
 /** Reproduces paper Table 4: F1 and learning time of Castor-NoMD /
   * Castor-Exact / Castor-Clean vs DLearn (k_m ∈ {2,5,10}) over the four
@@ -10,7 +10,7 @@ import repro.exp.{ExpScale, Tables}
   */
 class Table4Bench extends SparkSpec {
   test("Table 4: learning over heterogeneous data with MDs") {
-    val rows = Tables.table4(spark, ExpScale.bench)
+    val rows = Tables.table4(spark)
     rows.foreach(r => info(f"${r.dataset}%-12s ${r.system}%-12s F1=${r.r.f1}%.2f time=${r.r.timeMin}%.2fm"))
 
     def f1(ds: String, sys: String): Double =

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{ExpScale, Tables}
+import repro.exp.Tables
 
 /** Reproduces paper Table 5: DLearn-CFD vs DLearn-Repaired under injected CFD
   * violations p ∈ {0.05, 0.10, 0.20}. Shape: CFD-aware learning is (almost)
@@ -9,7 +9,7 @@ import repro.exp.{ExpScale, Tables}
   */
 class Table5Bench extends SparkSpec {
   test("Table 5: learning with MDs and CFD violations") {
-    val rows = Tables.table5(spark, ExpScale.bench5)
+    val rows = Tables.table5(spark)
     rows.foreach(r => info(f"${r.dataset}%-12s ${r.system}%-16s p=${r.p}%.2f F1=${r.r.f1}%.2f time=${r.r.timeMin}%.2fm"))
 
     def f1(ds: String, sys: String, p: Double): Double =

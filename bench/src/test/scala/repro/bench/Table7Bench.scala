@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{ExpScale, Tables}
+import repro.exp.Tables
 
 /** Reproduces paper Table 7: effect of the number of bottom-clause BFS
   * iterations d. Shape: F1 is low while the OMDB-side evidence is out of
@@ -11,7 +11,7 @@ import repro.exp.{ExpScale, Tables}
   */
 class Table7Bench extends SparkSpec {
   test("Table 7: effect of the number of iterations d") {
-    val rows = Tables.table7(spark, ExpScale.bench)
+    val rows = Tables.table7(spark)
     rows.foreach(r => info(f"d=${r.d} F1=${r.f1}%.2f time=${r.timeMin}%.2fm"))
 
     val byD = rows.map(r => r.d -> r).toMap

@@ -2,7 +2,7 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-import repro.exp.{ExpScale, Tables}
+import repro.exp.Tables
 
 /** Shared session bootstrap for the spark-submit entrypoints (one per paper
   * table). Usage: `spark-submit --class repro.jobs.Table4Job repro.jar`.
@@ -21,7 +21,7 @@ object JobSession {
 object Table3Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.local("table3")
-    try Tables.table3(spark, ExpScale.bench) finally spark.stop()
+    try Tables.table3(spark) finally spark.stop()
   }
 }
 
@@ -29,7 +29,7 @@ object Table3Job {
 object Table4Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.local("table4")
-    try Tables.table4(spark, ExpScale.bench) finally spark.stop()
+    try Tables.table4(spark) finally spark.stop()
   }
 }
 
@@ -37,7 +37,7 @@ object Table4Job {
 object Table5Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.local("table5")
-    try Tables.table5(spark, ExpScale.bench) finally spark.stop()
+    try Tables.table5(spark) finally spark.stop()
   }
 }
 

@@ -125,8 +125,7 @@ final class DLearn(
         precision >= params.minPrecision
       ) {
         val tRed = System.nanoTime()
-        if (params.reduceClauses)
-          best = reduce(best, posEval.take(20), negEval.take(50))
+        best = reduce(best, posEval.take(20), negEval.take(50))
         t(s"reduce body=${best.body.size}", tRed)
         clauses += best
         nClauses += 1

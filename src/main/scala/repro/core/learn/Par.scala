@@ -4,7 +4,8 @@ import java.util.concurrent.{Callable, Executors}
 import scala.jdk.CollectionConverters._
 
 /** Fixed-size thread pool for coverage testing — the paper parallelizes
-  * coverage tests over 16 threads (Sec. 6.1.3).
+  * coverage tests over 16 threads (Sec. 6.1.3) — and for scoring the
+  * similarity join's candidate pairs.
   */
 object Par {
   private lazy val pool = Executors.newFixedThreadPool(

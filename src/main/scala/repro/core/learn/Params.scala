@@ -26,7 +26,6 @@ object MdMode {
   * @param maxFrontier     ARMG substitution-frontier cap
   * @param maxExpansions   cap on enumerated CFD-repaired versions of a clause
   * @param nodeCap         θ-subsumption backtracking node cap
-  * @param threads         coverage-test parallelism (paper: 16 threads)
   */
 final case class LearnParams(
     d: Int = 3,
@@ -42,8 +41,6 @@ final case class LearnParams(
     maxFrontier: Int = 256,
     maxExpansions: Int = 16,
     maxExpandDepth: Int = 5,
-    reduceClauses: Boolean = true,
     nodeCap: Int = 5000,
-    threads: Int = 16,
     seed: Long = 7,
 ) extends Serializable

@@ -40,6 +40,8 @@ object ExpScale {
 
 /** One reproduction runner per paper table. Each returns the formatted rows
   * it printed, so benchmark suites can both display and sanity-check them.
+  * The `jobs/` entrypoints and the `bench/` suites both call a runner with
+  * its defaults, so each table's scale is set here only.
   */
 object Tables {
 

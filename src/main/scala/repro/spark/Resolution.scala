@@ -19,10 +19,16 @@ import repro.core.db.AttrRef
   */
 object Resolution {
 
-  /** Mapping b → best matching a (single row per b). */
-  def top1Mapping(left: DataFrame, right: DataFrame, threshold: Double): DataFrame =
-    SimJoin.topK(SimJoin.simPairs(left, right, threshold), "b", "a", 1)
-      .select(col("b").as("__from"), col("a").as("__to"))
+  /** Mapping b → best matching a (single row per b), from the similarity
+    * join and ranking rule of DLearn's index. Inputs are single-column
+    * DataFrames named `a` and `b`, collected to the driver.
+    */
+  def top1Mapping(left: DataFrame, right: DataFrame, threshold: Double): DataFrame = {
+    val spark = left.sparkSession
+    import spark.implicits._
+    val ps = SimJoin.pairs(SimJoin.values(left, "a"), SimJoin.values(right, "b"), threshold)
+    SimJoin.topK(ps, _.b, _.a, 1).toSeq.map { case (b, ms) => (b, ms.head.value) }.toDF("__from", "__to")
+  }
 
   /** Replace values of `ref`'s column in its relation frame via the mapping. */
   def replaceValues(df: DataFrame, attr: String, mapping: DataFrame): DataFrame =
@@ -41,8 +47,8 @@ object Resolution {
   ): Map[String, DataFrame] = {
     var cur = frames
     for (md <- mds; (refA, refB) <- md.pairs) {
-      val left  = cur(refA.rel).select(col(refA.attr).as("a")).distinct()
-      val right = cur(refB.rel).select(col(refB.attr).as("b")).distinct()
+      val left  = cur(refA.rel).select(col(refA.attr).as("a"))
+      val right = cur(refB.rel).select(col(refB.attr).as("b"))
       val mapping = top1Mapping(left, right, threshold)
       cur = cur.updated(refB.rel, replaceValues(cur(refB.rel), refB.attr, mapping))
     }

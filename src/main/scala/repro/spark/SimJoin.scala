@@ -1,10 +1,11 @@
 package repro.spark
 
+import scala.collection.mutable
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 import repro.core.constraints.MD
 import repro.core.db.{AttrRef, Database}
+import repro.core.learn.Par
 import repro.core.sim.Similarity
 
 /** A single similarity match: a value of the paired attribute plus its
@@ -38,8 +39,19 @@ object SimIndex {
   def apply(map: Map[String, Map[String, Vector[SimMatch]]]): SimIndex = new SimIndex(map)
 }
 
-/** Spark DataFrame pipeline computing similar value pairs with token-prefix
-  * blocking, then ranking to the top-k_m per source value.
+/** One scored pair of the similarity join: `a` is a value of an MD's first
+  * attribute, `b` of its second, and `score` is `Similarity.sim(a, b)`.
+  */
+final case class SimPair(a: String, b: String, score: Double)
+
+/** The similarity join behind DLearn's top-k_m index and Castor-Clean's
+  * top-1 resolution: a blocked all-pairs join over two sets of distinct
+  * values, then one ranking rule for the top-k per value.
+  *
+  * It runs on the driver. An MD attribute's domain is a few hundred to a few
+  * thousand strings that the collected `Database` already holds, and an
+  * in-memory inverted index joins them directly (Bayardo et al., *Scaling up
+  * all-pairs similarity search*, WWW 2007), with no shuffle to schedule.
   */
 object SimJoin {
 
@@ -52,68 +64,75 @@ object SimJoin {
     if (s == null) Seq.empty
     else s.toLowerCase.split("[^a-z0-9]+").filter(_.nonEmpty).distinct.toSeq
 
-  /** All pairs (a, b) with similarity ≥ threshold, via blocked join.
-    * Inputs are single-column DataFrames named `a` and `b`.
-    */
-  def simPairs(left: DataFrame, right: DataFrame, threshold: Double): DataFrame = {
-    val keysUdf = udf((s: String) => blockKeys(s))
-    val simUdf  = udf((a: String, b: String) => Similarity.sim(a, b))
-    val la = left.select(col("a")).distinct().withColumn("k", explode(keysUdf(col("a"))))
-    val rb = right.select(col("b")).distinct().withColumn("k", explode(keysUdf(col("b"))))
-    la.join(rb, "k")
-      .select("a", "b")
-      .distinct()
-      .withColumn("score", simUdf(col("a"), col("b")))
-      .filter(col("score") >= threshold)
-  }
-
-  /** Keep the top-k rows per `partCol` by descending score (ties broken by
-    * the other value for determinism).
-    */
-  def topK(pairs: DataFrame, partCol: String, otherCol: String, k: Int): DataFrame = {
-    val w = Window.partitionBy(col(partCol)).orderBy(col("score").desc, col(otherCol))
-    pairs.withColumn("rk", row_number().over(w)).filter(col("rk") <= k).drop("rk")
-  }
-
-  /** Build the bidirectional top-k_m similarity index for all MD attribute
-    * pairs of a database.
-    */
   /** Default similarity threshold. Must exceed 0.5: the operator averages
     * SWG with Length similarity, so two unrelated equal-length strings
     * already score 0.5.
     */
   val DefaultThreshold = 0.6
 
+  /** All pairs (a, b) of distinct values that share a blocking key and score
+    * at least `threshold`. An inverted index maps each key to the `right`
+    * values holding it; each `left` value is scored against the distinct
+    * values of its keys' lists, through `Par`. Repeated input values count
+    * once; nulls have no keys and never pair.
+    */
+  def pairs(left: Iterable[String], right: Iterable[String], threshold: Double): Vector[SimPair] = {
+    val bs    = right.iterator.distinct.toVector
+    val byKey = mutable.HashMap.empty[String, mutable.ArrayBuffer[Int]]
+    for (j <- bs.indices; k <- blockKeys(bs(j))) byKey.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += j
+    Par.map(left.iterator.distinct.toVector) { a =>
+      val shared = mutable.BitSet.empty
+      blockKeys(a).foreach(k => byKey.get(k).foreach(shared ++= _))
+      shared.iterator.map(j => SimPair(a, bs(j), Similarity.sim(a, bs(j)))).filter(_.score >= threshold).toVector
+    }.flatten
+  }
+
+  /** The `k` best pairs per value of `key`, as matches on the `other` value:
+    * by descending score, ties broken by the ascending `other` value. This
+    * is the one ranking rule of both index directions and of Castor-Clean.
+    */
+  def topK(
+      pairs: Seq[SimPair],
+      key: SimPair => String,
+      other: SimPair => String,
+      k: Int,
+  ): Map[String, Vector[SimMatch]] = {
+    val rank = Ordering.by[SimPair, Double](_.score).reverse.orElseBy(other)
+    pairs.groupBy(key).map { case (v, ps) =>
+      v -> ps.sorted(rank).iterator.take(k).map(p => SimMatch(other(p), p.score)).toVector
+    }
+  }
+
+  /** The values of a string column, collected to the driver. */
+  private[spark] def values(df: DataFrame, column: String): Vector[String] =
+    df.select(column).collect().iterator.map(_.getString(0)).toVector
+
+  /** [[pairs]] over DataFrames: inputs are single-column DataFrames named `a`
+    * and `b`, collected to the driver; the result has columns `a`, `b`,
+    * `score`.
+    */
+  def simPairs(left: DataFrame, right: DataFrame, threshold: Double): DataFrame = {
+    val spark = left.sparkSession
+    import spark.implicits._
+    pairs(values(left, "a"), values(right, "b"), threshold).toDF()
+  }
+
+  /** Build the bidirectional top-k_m similarity index for all MD attribute
+    * pairs of a database, from its collected domains; no Spark job runs.
+    * `spark` is unused and kept only for existing callers.
+    */
   def buildIndex(
       spark: SparkSession,
       db: Database,
       mds: Vector[MD],
       km: Int,
       threshold: Double = DefaultThreshold,
-  ): SimIndex = {
-    import spark.implicits._
-    val dirs = scala.collection.mutable.Map[String, Map[String, Vector[SimMatch]]]()
-    for (md <- mds; (refA, refB) <- md.pairs) {
-      val left  = db.domain(refA).toSeq.toDF("a")
-      val right = db.domain(refB).toSeq.toDF("b")
-      val pairs = simPairs(left, right, threshold).cache()
-      try {
-        val ab = topK(pairs, "a", "b", km)
-          .collect()
-          .groupBy(_.getString(0))
-          .map { case (a, rows) =>
-            a -> rows.map(r => SimMatch(r.getString(1), r.getDouble(2))).sortBy(-_.score).toVector
-          }
-        val ba = topK(pairs, "b", "a", km)
-          .collect()
-          .groupBy(_.getString(1))
-          .map { case (b, rows) =>
-            b -> rows.map(r => SimMatch(r.getString(0), r.getDouble(2))).sortBy(-_.score).toVector
-          }
-        dirs(SimIndex.dirKey(refA, refB)) = ab
-        dirs(SimIndex.dirKey(refB, refA)) = ba
-      } finally pairs.unpersist()
-    }
-    SimIndex(dirs.toMap)
-  }
+  ): SimIndex =
+    SimIndex(mds.flatMap(_.pairs).flatMap { case (refA, refB) =>
+      val ps = pairs(db.domain(refA), db.domain(refB), threshold)
+      Seq(
+        SimIndex.dirKey(refA, refB) -> topK(ps, _.a, _.b, km),
+        SimIndex.dirKey(refB, refA) -> topK(ps, _.b, _.a, km),
+      )
+    }.toMap)
 }

@@ -2,6 +2,8 @@ package repro.exp
 
 import repro.SparkSpec
 import repro.core.db.Database
+import repro.core.learn.{DLearn, Eval, MdMode}
+import repro.spark.SimJoin
 
 /** Integration tests of the experiment harness at tiny scale. */
 class TablesSpec extends SparkSpec {
@@ -72,5 +74,19 @@ class TablesSpec extends SparkSpec {
     val counts10 = b.db.domain(refA).map(v => i10.matches(refA, refB, v).size)
     assert(counts2.forall(_ <= 2))
     assert(counts10.max > 2, "some value should have more than 2 matches at k=10")
+  }
+
+  test("products: a positive reaches amazon_category, train F1 > 0.5") {
+    val t       = Tables.productsTask(spark, ExpScale.tiny, p = 0.0)
+    val db      = Database.fromFrames(t.spec.schema, t.frames)
+    val idx     = SimJoin.buildIndex(spark, db, t.spec.mds, km = 2)
+    val learner = new DLearn(db, t.spec, idx, Tables.baseParams.copy(mdMode = MdMode.SimMd, d = t.d))
+    val g       = learner.builder.build(t.pos.head, variabilize = false)
+    assert(g.body.exists(_.pred == "amazon_category"), "positive example must reach amazon_category")
+    val (defn, _) = learner.learn(t.pos, t.neg)
+    val posG = learner.coverage.groundAll(learner.builder, t.pos)
+    val negG = learner.coverage.groundAll(learner.builder, t.neg)
+    val m    = Eval.evaluate(learner, defn, posG, negG)
+    assert(m.f1 > 0.5, s"train F1 ${m.f1}")
   }
 }

@@ -4,6 +4,7 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.constraints.MD
 import repro.core.db.AttrRef
+import repro.core.sim.Similarity
 
 class ResolutionSpec extends SparkSpec {
   import spark.implicits._
@@ -31,6 +32,14 @@ class ResolutionSpec extends SparkSpec {
     val m     = Resolution.top1Mapping(left, right, 0.3).collect()
     assert(m.length == 1)
     assert(m.head.getString(1).startsWith("tavo rizel maku part"))
+  }
+
+  test("top1Mapping breaks a score tie toward the smaller left value") {
+    val left  = Seq("tavo rizel y", "tavo rizel x").toDF("a")
+    val right = Seq("tavo rizel").toDF("b")
+    assert(Similarity.sim("tavo rizel x", "tavo rizel") == Similarity.sim("tavo rizel y", "tavo rizel"))
+    val m = Resolution.top1Mapping(left, right, 0.5).collect().map(r => r.getString(0) -> r.getString(1))
+    assert(m.toSeq == Seq("tavo rizel" -> "tavo rizel x"))
   }
 
   test("replaceValues rewrites mapped values and keeps unmapped ones — oracle-checked") {

@@ -1,6 +1,7 @@
 package repro.spark
 
-import org.apache.spark.sql.functions._
+import scala.util.Random
+
 import repro.{Oracle, SparkSpec}
 import repro.core.constraints.MD
 import repro.core.db.{AttrRef, Database, RelSpec, Schema}
@@ -46,27 +47,78 @@ class SimJoinSpec extends SparkSpec {
     assert(math.abs(row.getDouble(2) - Similarity.sim("tavo rizel", "tavo rizel maku")) < 1e-9)
   }
 
+  /** Values of one to four tokens from a small vocabulary, a quarter with a
+    * one-letter typo: many shared tokens, repeated values and score ties.
+    */
+  private def randomDomain(rnd: Random, n: Int): Vector[String] = {
+    val vocab = Vector("tavo", "rizel", "maku", "bodu", "Fema", "lira", "part", "ii", "iii", "1994")
+    Vector.fill(n) {
+      val s = Vector.fill(1 + rnd.nextInt(4))(vocab(rnd.nextInt(vocab.size))).mkString(" ")
+      if (rnd.nextInt(4) > 0) s else s.updated(rnd.nextInt(s.length), ('a' + rnd.nextInt(26)).toChar)
+    }
+  }
+
+  test("pairs equals a brute-force loop over every pair sharing a block key") {
+    for (seed <- 1 to 20; threshold <- Seq(0.0, 0.6, 0.8)) {
+      val rnd   = new Random(seed)
+      val left  = randomDomain(rnd, 25)
+      val right = randomDomain(rnd, 25)
+      val expected = for {
+        a <- left.distinct
+        b <- right.distinct
+        if SimJoin.blockKeys(a).intersect(SimJoin.blockKeys(b)).nonEmpty
+        score = Similarity.sim(a, b)
+        if score >= threshold
+      } yield SimPair(a, b, score)
+      val got = SimJoin.pairs(left, right, threshold)
+      assert(got.size == got.toSet.size, s"seed $seed: duplicate pairs")
+      assert(got.toSet == expected.toSet, s"seed $seed threshold $threshold")
+    }
+  }
+
   test("topK keeps the k best per partition — oracle-checked against DuckDB") {
-    // Feed fixed scores so the window ranking itself is what's verified.
-    val pairs = Seq(
-      ("a1", "b1", 0.9), ("a1", "b2", 0.8), ("a1", "b3", 0.7),
-      ("a2", "b1", 0.6), ("a2", "b2", 0.95),
-    ).toDF("a", "b", "score")
-    val got = SimJoin.topK(pairs, "a", "b", 2).select("a", "b", "score")
-    Oracle.assertEquivalent(
-      got,
-      """SELECT a, b, CAST(score AS DOUBLE) score FROM (
-        |  SELECT a, b, score,
-        |         row_number() OVER (PARTITION BY a ORDER BY CAST(score AS DOUBLE) DESC, b) rk
-        |  FROM pairs) WHERE rk <= 2""".stripMargin,
-      "pairs" -> pairs,
+    // The top-k lists of both directions, with each match's rank, must equal
+    // row_number() over the simPairs view of the same join.
+    val rnd   = new Random(3)
+    val pairs = SimJoin.simPairs(randomDomain(rnd, 40).toDF("a"), randomDomain(rnd, 40).toDF("b"), 0.5)
+    val ps    = pairs.as[SimPair].collect().toSeq
+    val sides = Seq[(String, String, SimPair => String, SimPair => String)](
+      ("a", "b", _.a, _.b),
+      ("b", "a", _.b, _.a),
     )
+    for ((key, other, keyOf, otherOf) <- sides) {
+      val got = SimJoin.topK(ps, keyOf, otherOf, 2).toSeq
+        .flatMap { case (v, ms) => ms.zipWithIndex.map { case (m, i) => (v, m.value, m.score, i + 1) } }
+        .toDF(key, other, "score", "rk")
+      Oracle.assertEquivalent(
+        got,
+        s"""SELECT $key, $other, CAST(score AS DOUBLE) score, rk FROM (
+           |  SELECT $key, $other, score,
+           |         row_number() OVER (PARTITION BY $key ORDER BY CAST(score AS DOUBLE) DESC, $other) rk
+           |  FROM pairs) WHERE rk <= 2""".stripMargin,
+        "pairs" -> pairs,
+      )
+    }
   }
 
   test("topK tie-breaks deterministically by the other column") {
-    val pairs = Seq(("a1", "b2", 0.5), ("a1", "b1", 0.5)).toDF("a", "b", "score")
-    val got   = SimJoin.topK(pairs, "a", "b", 1).collect()
-    assert(got.length == 1 && got.head.getString(1) == "b1")
+    val ps = Seq(SimPair("a1", "b2", 0.5), SimPair("a1", "b1", 0.5))
+    for (in <- Seq(ps, ps.reverse))
+      assert(SimJoin.topK(in, _.a, _.b, 1) == Map("a1" -> Vector(SimMatch("b1", 0.5))))
+  }
+
+  test("the top-k lists do not depend on the order the domains come in") {
+    val rnd   = new Random(5)
+    val left  = randomDomain(rnd, 40)
+    val right = randomDomain(rnd, 40)
+    def lists(l: Seq[String], r: Seq[String]) = {
+      val ps = SimJoin.pairs(l, r, 0.5)
+      (SimJoin.topK(ps, _.a, _.b, 3), SimJoin.topK(ps, _.b, _.a, 3))
+    }
+    val base = lists(left, right)
+    assert(base._1.nonEmpty && base._2.nonEmpty)
+    assert(lists(left.reverse, right.reverse) == base)
+    assert(lists(rnd.shuffle(left), rnd.shuffle(right)) == base)
   }
 
   private val schema = Schema(Vector(
@@ -112,5 +164,27 @@ class SimJoinSpec extends SparkSpec {
   test("empty SimIndex returns no matches") {
     assert(SimIndex.empty.matches(AttrRef("r1", "name"), AttrRef("r2", "name"), "x").isEmpty)
     assert(SimIndex.empty.directionCount == 0)
+  }
+
+  test("buildIndex runs no Spark job") {
+    val db = mkDb(Seq("tavo rizel maku", "bodu fema"), Seq("tavo rizel maku (1994)", "bodu fema x"))
+    val sc = spark.sparkContext
+    // Job ids are global and consecutive, so no job ran between two marker
+    // jobs when their ids are adjacent. The status tracker learns of a job
+    // through the listener bus, asynchronously, hence the wait.
+    def markerJob(group: String): Int = {
+      sc.setJobGroup(group, group)
+      try sc.parallelize(Seq(1), 1).count()
+      finally sc.clearJobGroup()
+      val deadline = System.nanoTime() + 10000000000L
+      while (sc.statusTracker.getJobIdsForGroup(group).isEmpty && System.nanoTime() < deadline)
+        Thread.sleep(10)
+      sc.statusTracker.getJobIdsForGroup(group).head
+    }
+    val before = markerJob("simjoin-before")
+    val idx    = SimJoin.buildIndex(spark, db, Vector(md), km = 5)
+    val after  = markerJob("simjoin-after")
+    assert(idx.matches(AttrRef("r1", "name"), AttrRef("r2", "name"), "bodu fema").nonEmpty)
+    assert(after == before + 1, s"${after - before - 1} Spark job(s) ran inside buildIndex")
   }
 }
