@@ -33,13 +33,18 @@ final class Coverage(cfds: Vector[CFD], schema: Schema, params: LearnParams) ext
   def ground(builder: BottomBuilder, e: Example): GroundEx =
     groundFrom(e, builder.build(e, variabilize = false))
 
-  /** Assemble a [[GroundEx]] from an already-built ground clause. */
+  /** Assemble a [[GroundEx]] from an already-built ground clause. An
+    * expansion or union with the ground clause's head and body shares its
+    * index, so an example without CFD repairs holds one index.
+    */
   def groundFrom(e: Example, g: Clause): GroundEx = {
     val exp = Expand.repairs(g, cfds, schema, params.maxExpansions, params.maxExpandDepth)
+    val raw = new GIndex(g)
+    def index(c: Clause): GIndex = if (c.head == g.head && c.body == g.body) raw else new GIndex(c)
     val union =
-      if (exp.lengthCompare(1) <= 0) g.copy(groups = Vector.empty)
-      else Clause(g.head, (g.body ++ exp.flatMap(_.body)).distinct, Vector.empty)
-    GroundEx(e, new GIndex(g), exp.map(new GIndex(_)), new GIndex(union))
+      if (exp.lengthCompare(1) <= 0) raw
+      else index(Clause(g.head, (g.body ++ exp.flatMap(_.body)).distinct, Vector.empty))
+    GroundEx(e, raw, exp.map(index), union)
   }
 
   def groundAll(builder: BottomBuilder, es: Seq[Example]): Vector[GroundEx] =

@@ -1,5 +1,8 @@
 package repro.core.learn
 
+import scala.collection.immutable.ArraySeq
+import scala.collection.mutable
+
 import repro.core.logic.{Clause, Literal}
 
 /** ProGolem-style asymmetric relative minimal generalization (ARMG), paper
@@ -14,26 +17,28 @@ import repro.core.logic.{Clause, Literal}
   */
 object Generalize {
 
+  /** The frontier holds at most `maxFrontier` distinct substitutions: the
+    * first ones found, extending the previous frontier in its order.
+    */
   def armg(c: Clause, g: GIndex, maxFrontier: Int = 256): Clause = {
-    Subsume.unifyArgs(c.head.args, g.clause.head.args, Map.empty) match {
-      case None => c // heads incompatible — cannot generalize toward this example
-      case Some(th0) =>
-        var frontier: Vector[Subsume.Theta] = Vector(th0)
-        val kept = Vector.newBuilder[Literal]
-        for (lit <- c.body) {
-          val ext = frontier.iterator
-            .flatMap(th => Subsume.extensions(lit, th, g))
-            .distinct
-            .take(maxFrontier)
-            .toVector
-          if (ext.isEmpty) {
-            // blocking literal: drop it, keep the current frontier
-          } else {
-            kept += lit
-            frontier = ext
-          }
-        }
-        Clause(c.head, kept.result(), c.groups).normalized.pruneGroups
+    val cc = c.compiled
+    val m  = new Matcher(cc, g)
+    if (!m.unify(cc.head, g.head)) return c // heads incompatible — cannot generalize toward this example
+    var frontier = Vector(ArraySeq.unsafeWrapArray(m.theta.clone))
+    val kept     = Vector.newBuilder[Literal]
+    for (i <- c.body.indices) {
+      val ext = mutable.LinkedHashSet.empty[ArraySeq[Int]]
+      val it  = frontier.iterator
+      while (it.hasNext && ext.size < maxFrontier) {
+        it.next().copyToArray(m.theta)
+        m.extend(i) { ext += ArraySeq.unsafeWrapArray(m.theta.clone); ext.size >= maxFrontier }
+      }
+      // An empty extension marks a blocking literal: drop it, keep the frontier.
+      if (ext.nonEmpty) {
+        kept += c.body(i)
+        frontier = ext.toVector
+      }
     }
+    Clause(c.head, kept.result(), c.groups).normalized.pruneGroups
   }
 }

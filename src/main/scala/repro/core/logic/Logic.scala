@@ -4,8 +4,8 @@ package repro.core.logic
   *
   * Everything is an immutable, serializable case class so clauses can cross
   * Spark/thread-pool boundaries. Predicate names of relation literals are the
-  * relation names of the schema; two built-in predicates exist: similarity
-  * (`Literal.Sim`, from MD matches) and equality (`Literal.Eq`).
+  * relation names of the schema; one built-in predicate exists: similarity
+  * (`Literal.Sim`, from MD matches).
   */
 sealed trait Term extends Serializable {
   /** Rendering used in clause pretty-printing. */
@@ -26,14 +26,13 @@ final case class Const(value: String) extends Term {
 
 /** A literal: predicate applied to terms.
   *
-  * @param pred  relation name, or one of [[Literal.Sim]] / [[Literal.Eq]]
-  * @param args  argument terms, arity = relation arity (2 for sim/eq)
+  * @param pred  relation name, or [[Literal.Sim]]
+  * @param args  argument terms, arity = relation arity (2 for sim)
   */
 final case class Literal(pred: String, args: Vector[Term]) extends Serializable {
   def isSim: Boolean = pred == Literal.Sim
-  def isEq: Boolean  = pred == Literal.Eq
-  /** True for literals over schema relations (not built-ins). */
-  def isRel: Boolean = !isSim && !isEq
+  /** True for literals over schema relations (not the built-in). */
+  def isRel: Boolean = !isSim
 
   def vars: Set[Var] = args.collect { case v: Var => v }.toSet
 
@@ -54,11 +53,8 @@ final case class Literal(pred: String, args: Vector[Term]) extends Serializable 
 object Literal {
   /** Similarity built-in predicate `x ≈ y` (symmetric). */
   val Sim = "≈"
-  /** Equality built-in predicate `x = y`. */
-  val Eq = "="
 
   def sim(a: Term, b: Term): Literal = Literal(Sim, Vector(a, b))
-  def eq(a: Term, b: Term): Literal  = Literal(Eq, Vector(a, b))
 }
 
 /** A CFD-violation repair group attached to a clause: the compact stand-in for
@@ -83,6 +79,12 @@ final case class Clause(head: Literal, body: Vector[Literal], groups: Vector[Cfd
 
   def vars: Set[Var] = head.vars ++ body.flatMap(_.vars)
 
+  /** This clause compiled for θ-subsumption and ARMG, built on first use and
+    * shared by every test of the clause.
+    */
+  @transient private[core] lazy val compiled: repro.core.learn.CompiledClause =
+    new repro.core.learn.CompiledClause(this)
+
   /** Groups whose both literals are still present in the body. */
   def liveGroups: Vector[CfdGroup] = {
     val bs = body.toSet
@@ -105,7 +107,7 @@ final case class Clause(head: Literal, body: Vector[Literal], groups: Vector[Cfd
 
   /** Keep only body literals transitively connected to the head through
     * shared variables (the paper's head-connectedness). Built-in literals
-    * (sim/eq) act as connectors but cannot be the sole reason a relation
+    * (sim) act as connectors but cannot be the sole reason a relation
     * literal is retained unless they link it to the connected component.
     */
   def headConnectedBody: Clause = {
@@ -128,7 +130,7 @@ final case class Clause(head: Literal, body: Vector[Literal], groups: Vector[Cfd
     withBody(body.filter(keepSet.contains))
   }
 
-  /** Drop sim/eq literals that no longer touch any relation literal's
+  /** Drop sim literals that no longer touch any relation literal's
     * variable (the paper removes restriction literals whose variables vanish
     * from all schema-relation literals).
     */
@@ -138,7 +140,7 @@ final case class Clause(head: Literal, body: Vector[Literal], groups: Vector[Cfd
   }
 
   /** Fixpoint of head-connectivity pruning and dangling-builtin removal:
-    * removing a similarity/equality literal can disconnect a relation
+    * removing a similarity literal can disconnect a relation
     * literal and vice versa, so iterate until stable.
     */
   def normalized: Clause = {

@@ -78,12 +78,17 @@ object SimJoin {
     */
   def pairs(left: Iterable[String], right: Iterable[String], threshold: Double): Vector[SimPair] = {
     val bs    = right.iterator.distinct.toVector
+    val bLow  = bs.map(b => if (b == null) null else b.toLowerCase)
     val byKey = mutable.HashMap.empty[String, mutable.ArrayBuffer[Int]]
     for (j <- bs.indices; k <- blockKeys(bs(j))) byKey.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += j
     Par.map(left.iterator.distinct.toVector) { a =>
       val shared = mutable.BitSet.empty
       blockKeys(a).foreach(k => byKey.get(k).foreach(shared ++= _))
-      shared.iterator.map(j => SimPair(a, bs(j), Similarity.sim(a, bs(j)))).filter(_.score >= threshold).toVector
+      if (shared.isEmpty) Vector.empty
+      else {
+        val la = a.toLowerCase
+        shared.iterator.map(j => SimPair(a, bs(j), Similarity.sim(a, la, bs(j), bLow(j)))).filter(_.score >= threshold).toVector
+      }
     }.flatten
   }
 

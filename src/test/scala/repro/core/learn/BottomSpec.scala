@@ -61,6 +61,7 @@ class BottomSpec extends SparkSpec {
     new BottomBuilder(db, s, sim, params)
 
   private val e1 = Example("t", Vector("e1"), positive = true)
+  private val x  = Var("x"); private val y = Var("y"); private val z = Var("z")
 
   test("d=1 reaches only the directly bound relation") {
     val c = builder(mkDb(), LearnParams(d = 1)).build(e1, variabilize = true)
@@ -151,6 +152,22 @@ class BottomSpec extends SparkSpec {
     val cv = builder(db, p).build(e1, variabilize = true)
     val g  = builder(db, p).build(e1, variabilize = false)
     assert(Subsume.subsumes(cv, new GIndex(g)))
+  }
+
+  test("a null value joins nothing, also through a similarity literal") {
+    // e2's name is null: its ground clause holds a fresh Var there, which
+    // the subsumption search treats as a term equal only to itself.
+    val db = mkDb(r1 = Seq(("e1", "alpha beta"), ("e2", null)), r1b = Seq(("e1", "red"), ("e2", "red")))
+    val g  = builder(db, LearnParams(d = 3)).build(Example("t", Vector("e2"), positive = true), variabilize = false)
+    val name = g.body.find(_.pred == "r1").get.args(1)
+    assert(name.isInstanceOf[Var])
+    val c = Clause(
+      Literal("t", Vector(x)),
+      Vector(Literal("r1", Vector(x, y)), Literal.sim(y, z), Literal("r1b", Vector(x, z))),
+      Vector.empty,
+    )
+    assert(!Subsume.subsumes(c, new GIndex(g)))
+    assert(Subsume.subsumes(c.copy(body = c.body.filterNot(_.isSim)), new GIndex(g)))
   }
 
   test("multiple sim matches add multiple target tuples (k_m effect)") {

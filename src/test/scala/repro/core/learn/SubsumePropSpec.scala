@@ -5,7 +5,9 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.Props
 import repro.core.logic._
 
-/** Property-based soundness checks of the θ-subsumption engine. */
+/** Property-based checks of the θ-subsumption engine and ARMG, including a
+  * brute-force oracle for soundness and completeness.
+  */
 class SubsumePropSpec extends AnyFunSuite {
 
   private val constGen: Gen[Const] = Gen.oneOf("a", "b", "c", "d", "e").map(Const(_))
@@ -69,5 +71,76 @@ class SubsumePropSpec extends AnyFunSuite {
       val r = Generalize.armg(c, new GIndex(g))
       Subsume.subsumes(r, new GIndex(g))
     })
+  }
+
+  // ---- brute-force oracle over clauses with variables and similarity
+
+  private val varGen: Gen[Var]     = Gen.oneOf("x", "y", "z", "w").map(Var(_))
+  private val termGen: Gen[Term]   = Gen.frequency(3 -> varGen, 1 -> constGen)
+  private val anyPredGen           = Gen.frequency(2 -> Gen.oneOf("p", "q"), 1 -> Gen.const(Literal.Sim))
+
+  /** A clause over variables x, y, z, w and constants a–e; variables repeat
+    * within and across literals, and a third of the literals are
+    * similarity literals.
+    */
+  private val clauseGen: Gen[Clause] = for {
+    head  <- termGen
+    n     <- Gen.choose(0, 5)
+    preds <- Gen.listOfN(n, anyPredGen)
+    argss <- Gen.listOfN(n, Gen.listOfN(2, termGen))
+  } yield Clause(
+    Literal("t", Vector(head)),
+    preds.zip(argss).map { case (p, as) => Literal(p, as.toVector) }.toVector,
+    Vector.empty,
+  )
+
+  /** A ground target with relation literals and similarity facts. */
+  private val targetGen: Gen[Clause] = for {
+    n     <- Gen.choose(1, 8)
+    preds <- Gen.listOfN(n, anyPredGen)
+    argss <- Gen.listOfN(n, Gen.listOfN(2, constGen))
+    headC <- constGen
+  } yield Clause(
+    Literal("t", Vector(headC)),
+    preds.zip(argss).map { case (p, as) => Literal(p, as.toVector) }.toVector,
+    Vector.empty,
+  )
+
+  /** Does some substitution of `c`'s variables map its head onto `g`'s and
+    * every body literal onto a literal of `g`? A similarity literal holds on
+    * a similarity fact of `g` in either orientation, or when both sides are
+    * the same term. Variables range over `g`'s terms and `c`'s constants.
+    */
+  private def oracle(c: Clause, g: Clause): Boolean = {
+    val vars   = c.vars.toVector
+    val domain = (g.head.args ++ g.body.flatMap(_.args) ++ c.body.flatMap(_.args) ++ c.head.args)
+      .collect { case k: Const => k: Term }.distinct
+    val facts  = g.body.toSet
+    def holds(th: Map[Var, Term]): Boolean = {
+      val l = (x: Literal) => x.subst(th)
+      l(c.head) == g.head && c.body.map(l).forall { b =>
+        facts.contains(b) ||
+        (b.isSim && (b.args(0) == b.args(1) || facts.contains(Literal.sim(b.args(1), b.args(0)))))
+      }
+    }
+    def search(i: Int, th: Map[Var, Term]): Boolean =
+      if (i == vars.size) holds(th) else domain.exists(t => search(i + 1, th.updated(vars(i), t)))
+    search(0, Map.empty)
+  }
+
+  test("subsumes agrees with a brute-force oracle (sound and complete)") {
+    Props.check(Prop.forAll(clauseGen, targetGen) { (c, g) =>
+      Subsume.subsumes(c, new GIndex(g), nodeCap = Int.MaxValue) == oracle(c, g)
+    }, minTests = 10000)
+  }
+
+  test("ARMG keeps an ordered sub-list of the body and subsumes the target") {
+    Props.check(Prop.forAll(clauseGen, targetGen, Gen.choose(1, 4)) { (c, g, cap) =>
+      val r = Generalize.armg(c, new GIndex(g), maxFrontier = cap)
+      def subList(xs: Vector[Literal], ys: Vector[Literal]): Boolean =
+        xs.isEmpty || (ys.nonEmpty && subList(if (xs.head eq ys.head) xs.tail else xs, ys.tail))
+      val headsUnify = oracle(Clause(c.head, Vector.empty, Vector.empty), g)
+      subList(r.body, c.body) && (!headsUnify || (oracle(r, g) && Subsume.subsumes(r, new GIndex(g))))
+    }, minTests = 5000)
   }
 }

@@ -34,9 +34,8 @@ class LogicSpec extends AnyFunSuite {
     assert(l.replaceTerm(x, z) == Literal("r", Vector(z, z, y)))
   }
 
-  test("sim and eq constructors set predicates") {
+  test("sim constructor sets the similarity predicate") {
     assert(Literal.sim(x, y).isSim)
-    assert(Literal.eq(x, y).isEq)
     assert(!Literal.sim(x, y).isRel)
     assert(Literal("r", Vector(x)).isRel)
   }
