@@ -45,20 +45,6 @@ final case class CFD(
   def cellMatches(value: String, pat: Option[String]): Boolean =
     value != null && pat.forall(_ == value)
 
-  /** Do tuples t1, t2 (arrays in `spec` column order) violate this CFD? */
-  def violates(spec: RelSpec, t1: Array[String], t2: Array[String]): Boolean = {
-    val li = lhsIdx(spec)
-    val sameLhs = li.indices.forall { k =>
-      val i = li(k)
-      t1(i) != null && t1(i) == t2(i) && cellMatches(t1(i), lhsPattern(k))
-    }
-    if (!sameLhs) false
-    else {
-      val r = rhsIdx(spec)
-      !(t1(r) != null && t1(r) == t2(r) && cellMatches(t1(r), rhsPattern))
-    }
-  }
-
   /** Violation test lifted to clause literals of this relation. Terms are
     * "equal" when syntactically identical; a constant matches a constant
     * pattern by value; a variable can only be asserted to match the wildcard

@@ -71,24 +71,33 @@ object SimJoin {
   val DefaultThreshold = 0.6
 
   /** All pairs (a, b) of distinct values that share a blocking key and score
-    * at least `threshold`. An inverted index maps each key to the `right`
-    * values holding it; each `left` value is scored against the distinct
-    * values of its keys' lists, through `Par`. Repeated input values count
-    * once; nulls have no keys and never pair.
+    * at least `threshold`, in the order of `left` and then of `right`. An
+    * inverted index maps each key to the `right` values holding it; each
+    * `left` value is scored against the distinct values of its keys' lists,
+    * through `Par`, by one [[Similarity.Aligner]] that takes them in
+    * lowercase order, so consecutive candidates share their prefix columns.
+    * Repeated input values count once; nulls have no keys and never pair.
     */
   def pairs(left: Iterable[String], right: Iterable[String], threshold: Double): Vector[SimPair] = {
-    val bs    = right.iterator.distinct.toVector
-    val bLow  = bs.map(b => if (b == null) null else b.toLowerCase)
+    val bs    = right.iterator.filter(_ != null).distinct.toArray
+    val bLow  = bs.map(_.toLowerCase)
+    // rank -> index into bs, by lowercase form; the inverted index holds ranks
+    val order = bs.indices.sortBy(bLow).toArray
     val byKey = mutable.HashMap.empty[String, mutable.ArrayBuffer[Int]]
-    for (j <- bs.indices; k <- blockKeys(bs(j))) byKey.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += j
+    for (r <- order.indices; k <- blockKeys(bs(order(r)))) byKey.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += r
     Par.map(left.iterator.distinct.toVector) { a =>
       val shared = mutable.BitSet.empty
       blockKeys(a).foreach(k => byKey.get(k).foreach(shared ++= _))
-      if (shared.isEmpty) Vector.empty
-      else {
-        val la = a.toLowerCase
-        shared.iterator.map(j => SimPair(a, bs(j), Similarity.sim(a, la, bs(j), bLow(j)))).filter(_.score >= threshold).toVector
+      val hits = mutable.ArrayBuffer.empty[(Int, Double)]
+      if (shared.nonEmpty) {
+        val al = new Similarity.Aligner(a)
+        shared.foreach { r =>
+          val j     = order(r)
+          val score = al.sim(bs(j), bLow(j), threshold)
+          if (score >= threshold) hits += ((j, score))
+        }
       }
+      hits.sortInPlaceBy(_._1).iterator.map { case (j, score) => SimPair(a, bs(j), score) }.toVector
     }.flatten
   }
 
@@ -102,9 +111,14 @@ object SimJoin {
       other: SimPair => String,
       k: Int,
   ): Map[String, Vector[SimMatch]] = {
-    val rank = Ordering.by[SimPair, Double](_.score).reverse.orElseBy(other)
+    val rank: java.util.Comparator[SimPair] = (x, y) => {
+      val c = java.lang.Double.compare(y.score, x.score)
+      if (c != 0) c else other(x).compareTo(other(y))
+    }
     pairs.groupBy(key).map { case (v, ps) =>
-      v -> ps.sorted(rank).iterator.take(k).map(p => SimMatch(other(p), p.score)).toVector
+      val sorted = ps.toArray
+      java.util.Arrays.sort(sorted, rank)
+      v -> sorted.iterator.take(k).map(p => SimMatch(other(p), p.score)).toVector
     }
   }
 

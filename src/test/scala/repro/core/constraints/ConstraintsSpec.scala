@@ -45,43 +45,51 @@ class ConstraintsSpec extends AnyFunSuite {
     assert(!phi1.cellMatches("French", Some("English")))
   }
 
+  /** The ground literal of a `mov2locale` tuple; a null becomes a fresh
+    * variable, as in `BottomBuilder`.
+    */
+  private var fresh = 0
+  private def ground(t: String*): Literal =
+    Literal("mov2locale", t.toVector.map { v =>
+      if (v != null) Const(v) else { fresh += 1; Var(s"null$fresh") }
+    })
+
   test("violates: the paper's Bait example violates φ1") {
-    val r1 = Array("Bait", "English", "USA")
-    val r2 = Array("Bait", "English", "Ireland")
-    assert(phi1.violates(loc, r1, r2))
+    val r1 = ground("Bait", "English", "USA")
+    val r2 = ground("Bait", "English", "Ireland")
+    assert(phi1.violatesLits(loc, r1, r2))
   }
 
   test("violates: different language pattern does not trigger φ1") {
-    val r1 = Array("Bait", "French", "USA")
-    val r2 = Array("Bait", "French", "Ireland")
-    assert(!phi1.violates(loc, r1, r2))
+    val r1 = ground("Bait", "French", "USA")
+    val r2 = ground("Bait", "French", "Ireland")
+    assert(!phi1.violatesLits(loc, r1, r2))
   }
 
   test("violates: same country satisfies φ1") {
-    val r1 = Array("Bait", "English", "USA")
-    val r2 = Array("Bait", "English", "USA")
-    assert(!phi1.violates(loc, r1, r2))
+    val r1 = ground("Bait", "English", "USA")
+    val r2 = ground("Bait", "English", "USA")
+    assert(!phi1.violatesLits(loc, r1, r2))
   }
 
   test("violates: different titles never violate") {
-    val r1 = Array("Bait", "English", "USA")
-    val r2 = Array("Hook", "English", "Ireland")
-    assert(!phi1.violates(loc, r1, r2))
+    val r1 = ground("Bait", "English", "USA")
+    val r2 = ground("Hook", "English", "Ireland")
+    assert(!phi1.violatesLits(loc, r1, r2))
   }
 
   test("violates: null LHS never violates") {
-    val r1 = Array(null, "English", "USA")
-    val r2 = Array(null, "English", "Ireland")
-    assert(!phi1.violates(loc, r1, r2))
+    val r1 = ground(null, "English", "USA")
+    val r2 = ground(null, "English", "Ireland")
+    assert(!phi1.violatesLits(loc, r1, r2))
   }
 
   test("violates with constant RHS pattern") {
     val c  = CFD("mov2locale", Vector("title"), "country", Vector(None), Some("USA"))
-    val r1 = Array("Bait", "English", "UK")
-    val r2 = Array("Bait", "English", "UK")
-    // equal but not matching the RHS constant → violation
-    assert(c.violates(loc, r1, r2))
-    assert(!c.violates(loc, Array("Bait", "e", "USA"), Array("Bait", "e", "USA")))
+    // equal but not matching the RHS constant → violation; the two tuples
+    // differ outside the CFD, because one literal is never compared with itself
+    assert(c.violatesLits(loc, ground("Bait", "English", "UK"), ground("Bait", "French", "UK")))
+    assert(!c.violatesLits(loc, ground("Bait", "e", "USA"), ground("Bait", "f", "USA")))
   }
 
   test("violatesLits: equal LHS vars with different RHS constants violate") {

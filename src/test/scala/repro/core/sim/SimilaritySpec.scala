@@ -107,28 +107,57 @@ class SimilaritySpec extends AnyFunSuite {
     assert(interleaved > 0.0)
   }
 
-  /** The SWG recurrence as first written: a full (n+1)×(m+1) matrix of
-    * doubles, match +1, mismatch -1, gap -0.5.
-    */
-  private def swgReference(a: String, b: String): Double = {
-    if (a.isEmpty || b.isEmpty) return 0.0
-    val s = a.toLowerCase; val t = b.toLowerCase
-    val h = Array.ofDim[Double](s.length + 1, t.length + 1)
-    var best = 0.0
-    for (i <- 1 to s.length; j <- 1 to t.length) {
-      val sub = if (s(i - 1) == t(j - 1)) 1.0 else -1.0
-      h(i)(j) = math.max(0.0, math.max(h(i - 1)(j - 1) + sub, math.max(h(i - 1)(j) - 0.5, h(i)(j - 1) - 0.5)))
-      best = math.max(best, h(i)(j))
-    }
-    best / math.min(s.length, t.length).toDouble
-  }
-
   test("SWG equals the full-matrix reference DP exactly (property)") {
     val mixed: Gen[String] =
       Gen.choose(0, 24).flatMap(n => Gen.listOfN(n, Gen.oneOf('a', 'b', 'c', 'A', 'B', ' ', '1')).map(_.mkString))
     Props.check(Prop.forAll(Gen.oneOf(mixed, word), Gen.oneOf(mixed, word)) { (a, b) =>
-      smithWatermanGotoh(a, b) == swgReference(a, b) &&
-      sim(a, b) == (swgReference(a, b) + lengthSim(a, b)) / 2.0
+      smithWatermanGotoh(a, b) == Reference.swg(a, b) && sim(a, b) == Reference.sim(a, b)
     }, minTests = 2000)
+  }
+
+  /** Right values around a stem, in lowercase order as the join feeds them:
+    * the stem's prefixes with new tails, so neighbours share long prefixes,
+    * and the stem in upper and lower case (equal lowercase forms). Then, out
+    * of order, a value that is a prefix of the one before it, and the empty
+    * string.
+    */
+  private val kernelCase: Gen[(String, Vector[String], Double)] = {
+    val ch   = Gen.oneOf('a', 'b', 'c', 'A', 'B', ' ', 'x')
+    val str  = (lo: Int, hi: Int) => Gen.choose(lo, hi).flatMap(n => Gen.listOfN(n, ch).map(_.mkString))
+    for {
+      stem  <- str(1, 20)
+      tails <- Gen.listOfN(10, Gen.zip(Gen.choose(0, stem.length), str(0, 8)))
+      cut   <- Gen.choose(0, stem.length)
+      a     <- Gen.oneOf(Gen.const(stem), str(0, 20), Gen.zip(Gen.choose(0, stem.length), str(0, 6)).map {
+                 case (k, t) => stem.take(k) + t
+               })
+      thr   <- Gen.choose(0.5, 1.0)
+    } yield {
+      val run = (tails.map { case (k, t) => stem.take(k) + t } :+ stem.toUpperCase :+ stem).toVector.sortBy(_.toLowerCase)
+      (a, run :+ run.last.take(cut) :+ "", thr)
+    }
+  }
+
+  test("one Aligner over a sorted run agrees with the reference DP at every threshold (property)") {
+    Props.check(Prop.forAll(kernelCase) { case (a, run, thr) =>
+      val al = new Aligner(a)
+      run.forall { b =>
+        val got = al.sim(b, b.toLowerCase, thr)
+        val ref = Reference.sim(a, b)
+        if (ref >= thr) got == ref else got < thr
+      }
+    }, minTests = 3000)
+  }
+
+  test("an Aligner without a threshold scores every value of a run exactly") {
+    val a  = "Tavo Rizel Maku part ii"
+    val al = new Aligner(a)
+    val run = Vector("tavo", "tavo rizel", "Tavo Rizel Maku part iii", "tavo rizel maku part ii", "tavo rizel moku", "tovo", "")
+    for (b <- run) assert(al.sim(b, b.toLowerCase, Double.NegativeInfinity) == Reference.sim(a, b), b)
+  }
+
+  test("an Aligner reports a pair below its threshold as Below") {
+    assert(new Aligner("tavo rizel").sim("bodu fema", "bodu fema", 0.9) == Below)
+    assert(new Aligner("").sim("bodu", "bodu", 0.5) == Below)
   }
 }

@@ -5,7 +5,8 @@ import scala.util.Random
 import repro.{Oracle, SparkSpec}
 import repro.core.constraints.MD
 import repro.core.db.{AttrRef, Database, RelSpec, Schema}
-import repro.core.sim.Similarity
+import repro.core.sim.{Reference, Similarity}
+import repro.dirty.Products
 
 class SimJoinSpec extends SparkSpec {
   import spark.implicits._
@@ -73,6 +74,26 @@ class SimJoinSpec extends SparkSpec {
       val got = SimJoin.pairs(left, right, threshold)
       assert(got.size == got.toSet.size, s"seed $seed: duplicate pairs")
       assert(got.toSet == expected.toSet, s"seed $seed threshold $threshold")
+    }
+  }
+
+  test("pairs equals a brute-force loop over product-family titles, scored by the reference DP") {
+    // Family titles share long prefixes ("<base> 16 gb" / "<base> 32 gb"), so
+    // the kernel reuses and abandons columns on almost every candidate.
+    val cfg = Products.Config(seed = 7)
+    val rows = (0L until 240L).map(Products.row(cfg))
+    val left = rows.map(_.titleW) ++ rows.take(20).map(_.titleW.toUpperCase)
+    val right = rows.map(_.titleA) ++ rows.take(20).map(r => r.titleA.capitalize)
+    for (threshold <- Seq(0.6, 0.75, 0.9)) {
+      val expected = for {
+        a <- left.distinct
+        b <- right.distinct
+        if SimJoin.blockKeys(a).intersect(SimJoin.blockKeys(b)).nonEmpty
+        score = Reference.sim(a, b)
+        if score >= threshold
+      } yield SimPair(a, b, score)
+      assert(expected.nonEmpty)
+      assert(SimJoin.pairs(left, right, threshold) == expected, s"threshold $threshold")
     }
   }
 
