@@ -41,10 +41,6 @@ final case class CFD(
   def lhsIdx(spec: RelSpec): Vector[Int] = lhs.map(spec.attrIdx)
   def rhsIdx(spec: RelSpec): Int         = spec.attrIdx(rhs)
 
-  /** The `≍` predicate between a value and a pattern cell. */
-  def cellMatches(value: String, pat: Option[String]): Boolean =
-    value != null && pat.forall(_ == value)
-
   /** Violation test lifted to clause literals of this relation. Terms are
     * "equal" when syntactically identical; a constant matches a constant
     * pattern by value; a variable can only be asserted to match the wildcard
@@ -74,24 +70,4 @@ object CFD {
   /** Plain FD `X → A` as a CFD with an all-wildcard pattern tuple. */
   def fd(rel: String, lhs: Vector[String], rhs: String): CFD =
     CFD(rel, lhs, rhs, lhs.map(_ => None), None)
-
-  /** Naive pairwise inconsistency test for constant-pattern CFDs — detects
-    * the textbook case `(A→B, a1||b1)` vs `(B→A, b1||a2)` (paper Sec. 2.3):
-    * the first forces B=b1 whenever A=a1, the second forces A=a2≠a1 whenever
-    * B=b1. Full consistency checking is out of scope (the paper delegates to
-    * [Bohannon et al. 2007]); learning assumes a consistent set.
-    */
-  def inconsistentPair(c1: CFD, c2: CFD): Boolean = {
-    if (c1.rel != c2.rel) return false
-    (for {
-      (a1, p1) <- c1.lhs.zip(c1.lhsPattern)
-      if c1.rhsPattern.isDefined && p1.isDefined
-      (a2, p2) <- c2.lhs.zip(c2.lhsPattern)
-      if c2.rhsPattern.isDefined && p2.isDefined
-    } yield {
-      // c1: a1=p1 forces c1.rhs=c1.rhsPattern; c2: a2=p2 forces c2.rhs=...
-      a2 == c1.rhs && p2 == c1.rhsPattern &&
-      c2.rhs == a1 && c2.rhsPattern != p1
-    }).exists(identity)
-  }
 }

@@ -127,9 +127,7 @@ final class BottomBuilder(
       varOf.getOrElseUpdate(value, { varCnt += 1; Var(s"v$varCnt") })
     def term(value: String, isConst: Boolean): Term =
       if (value == null) { varCnt += 1; Var(s"v$varCnt") } // nulls join nothing
-      else if (isConst && !variabilize) Const(value)
-      else if (isConst) Const(value)
-      else if (variabilize) varFor(value)
+      else if (variabilize && !isConst) varFor(value)
       else Const(value)
 
     val head = Literal(

@@ -71,12 +71,6 @@ final class Coverage(cfds: Vector[CFD], schema: Schema, params: LearnParams) ext
   def coversNeg(cExp: Vector[Clause], g: GroundEx): Boolean =
     cExp.exists(ci => someExpansion(ci, g))
 
-  /** Which of `pos` are covered (positive semantics), in parallel. */
-  def coveredPos(c: Clause, pos: Seq[GroundEx]): Vector[Boolean] = {
-    val cExp = expand(c)
-    Par.map(pos)(coversPos(cExp, _))
-  }
-
   /** Count (positives covered, negatives covered) for scoring. */
   def counts(c: Clause, pos: Seq[GroundEx], neg: Seq[GroundEx]): (Int, Int) = {
     val cExp = expand(c)

@@ -6,15 +6,8 @@ import repro.core.db.{Database, DatasetSpec, Example}
 import repro.core.logic.{Clause, Definition}
 import repro.spark.SimIndex
 
-/** Statistics of one learning run. */
-final case class LearnStats(
-    groundMs: Long,
-    learnMs: Long,
-    clauses: Int,
-    literals: Int,
-) {
-  def totalMs: Long = groundMs + learnMs
-}
+/** Size of one learned definition. */
+final case class LearnStats(clauses: Int, literals: Int)
 
 /** The DLearn covering-loop learner (paper Algorithm 1 + Sec. 4), also used
   * for every baseline via [[LearnParams]] / [[DatasetSpec]] configuration:
@@ -34,27 +27,22 @@ final class DLearn(
 
   /** Learn a definition from training examples. Ground bottom-clauses may be
     * passed in pre-computed (they are fold-independent); otherwise they are
-    * built here and counted in `groundMs`.
+    * built here.
     */
   def learn(
       trainPos: Seq[Example],
       trainNeg: Seq[Example],
       preGround: Option[(Vector[GroundEx], Vector[GroundEx])] = None,
   ): (Definition, LearnStats) = {
-    val t0 = System.nanoTime()
     val (posG, negG) = preGround.getOrElse(
       (coverage.groundAll(builder, trainPos), coverage.groundAll(builder, trainNeg))
     )
-    val t1  = System.nanoTime()
     val rng = new Random(params.seed)
 
     var uncovered = posG
     val clauses   = Vector.newBuilder[Clause]
     var nClauses  = 0
     var nLits     = 0
-    val trace     = sys.props.contains("repro.trace")
-    def t(label: String, since: Long): Unit =
-      if (trace) Console.err.println(f"[dlearn] $label ${(System.nanoTime() - since) / 1e9}%.1fs")
 
     while (uncovered.nonEmpty && nClauses < params.maxClauses) {
       val seed = uncovered.head
@@ -71,10 +59,8 @@ final class DLearn(
         if (negG.length <= params.evalNegCap) negG
         else rng.shuffle(negG).take(params.evalNegCap)
 
-      val tSeed = System.nanoTime()
       var (bestPos, bestNeg) = coverage.counts(best, posEval, negEval)
       var bestScore = bestPos - bestNeg
-      t(s"seed-counts body=${best.body.size}", tSeed)
 
       var improved = true
       while (improved) {
@@ -88,7 +74,6 @@ final class DLearn(
             if (c.headConnected && c.body.nonEmpty) Some(c) else None
           }.flatten.distinct
           if (cands.nonEmpty) {
-            val tSc = System.nanoTime()
             // Near-bottom candidates (early rounds) are by far the most
             // expensive to test; score them on a half-size sample. Scores are
             // only compared within one round, so the sample just needs to be
@@ -100,7 +85,6 @@ final class DLearn(
               val (p, n) = coverage.counts(c, pEv, nEv)
               (c, p, n, p - n)
             }
-            t(s"score ${cands.size} cands avgBody=${cands.map(_.body.size).sum / cands.size}", tSc)
             val (c, p0, n0, _) = scored.maxBy(x => (x._4, -x._1.body.length))
             // Half-sample scores are only comparable within the round; the
             // winner is re-scored on the full eval sample before being
@@ -114,9 +98,7 @@ final class DLearn(
       }
 
       // Full-count acceptance.
-      val tAcc = System.nanoTime()
       val (fullPos, fullNeg) = coverage.counts(best, uncovered, negG)
-      t(s"accept-counts body=${best.body.size}", tAcc)
       bestPos = fullPos; bestNeg = fullNeg
       val precision =
         if (bestPos + bestNeg == 0) 0.0 else bestPos.toDouble / (bestPos + bestNeg)
@@ -124,9 +106,7 @@ final class DLearn(
         best.headConnected && bestPos >= params.minPosCovered &&
         precision >= params.minPrecision
       ) {
-        val tRed = System.nanoTime()
         best = reduce(best, posEval.take(20), negEval.take(50))
-        t(s"reduce body=${best.body.size}", tRed)
         clauses += best
         nClauses += 1
         nLits += best.body.length
@@ -137,11 +117,7 @@ final class DLearn(
       }
     }
 
-    val t2 = System.nanoTime()
-    (
-      Definition(clauses.result()),
-      LearnStats((t1 - t0) / 1000000, (t2 - t1) / 1000000, nClauses, nLits),
-    )
+    (Definition(clauses.result()), LearnStats(nClauses, nLits))
   }
 
   /** Negative-based clause reduction (ProGolem/Castor): drop body literals as
@@ -169,10 +145,4 @@ final class DLearn(
     }
     cur
   }
-
-  /** Does the learned definition predict `g` positive? (Def. 3.4 semantics,
-    * any-clause.)
-    */
-  def predicts(defn: Definition, g: GroundEx): Boolean =
-    defn.clauses.exists(c => coverage.coversPos(coverage.expand(c), g))
 }

@@ -11,36 +11,42 @@ object MdMode {
   case object SimMd extends MdMode
 }
 
-/** Learner configuration.
+/** Learner configuration: the three settings the systems of paper
+  * Sec. 6.1.3 vary, plus the caps and thresholds every experiment runs with.
   *
   * @param d               bottom-clause BFS iterations (paper's `d`, Table 7)
-  * @param sampleSize      max literals per relation in a bottom clause (paper fixes 10)
   * @param mdMode          MD usage mode of the system under test
   * @param useCfdGroups    DLearn-CFD when true; when false CFD violations in
   *                        clauses are ignored (used for MD-only DLearn and for
   *                        DLearn-Repaired, whose input has no violations)
-  * @param candidateSample |E^{+s}|: positives sampled per generalization step
-  * @param minPrecision    acceptance threshold on train precision of a clause
-  * @param minPosCovered   clause must cover at least this many positives
-  * @param maxClauses      covering-loop cap on definition size
-  * @param maxFrontier     ARMG substitution-frontier cap
-  * @param maxExpansions   cap on enumerated CFD-repaired versions of a clause
-  * @param nodeCap         θ-subsumption backtracking node cap
   */
 final case class LearnParams(
     d: Int = 3,
-    sampleSize: Int = 10,
     mdMode: MdMode = MdMode.SimMd,
     useCfdGroups: Boolean = false,
-    candidateSample: Int = 8,
-    evalPosCap: Int = 60,
-    evalNegCap: Int = 120,
-    minPrecision: Double = 0.65,
-    minPosCovered: Int = 2,
-    maxClauses: Int = 8,
-    maxFrontier: Int = 256,
-    maxExpansions: Int = 16,
-    maxExpandDepth: Int = 5,
-    nodeCap: Int = 5000,
-    seed: Long = 7,
-) extends Serializable
+) extends Serializable {
+  /** Max literals per relation in a bottom clause (paper fixes 10). */
+  val sampleSize: Int = 10
+  /** |E^{+s}|: positives sampled per generalization step. */
+  val candidateSample: Int = 10
+  /** Max uncovered positives sampled to score a seed's candidates. */
+  val evalPosCap: Int = 60
+  /** Max negatives sampled to score a seed's candidates. */
+  val evalNegCap: Int = 120
+  /** Acceptance threshold on train precision of a clause. */
+  val minPrecision: Double = 0.4
+  /** A clause must cover at least this many positives. */
+  val minPosCovered: Int = 3
+  /** Covering-loop cap on definition size. */
+  val maxClauses: Int = 6
+  /** ARMG substitution-frontier cap. */
+  val maxFrontier: Int = 256
+  /** Cap on enumerated CFD-repaired versions of a clause. */
+  val maxExpansions: Int = 16
+  /** Recursion depth cap of CFD repair enumeration. */
+  val maxExpandDepth: Int = 5
+  /** θ-subsumption backtracking node cap. */
+  val nodeCap: Int = 5000
+  /** Seed of the learner's sampling and of the cross-validation folds. */
+  val seed: Long = 7
+}

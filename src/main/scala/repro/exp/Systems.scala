@@ -23,7 +23,7 @@ final case class TaskData(
   * instance caches the collected database and similarity indexes across
   * system runs over the same task.
   */
-final class Bench(spark: SparkSession, task: TaskData, base: LearnParams) {
+final class Bench(spark: SparkSession, task: TaskData) {
 
   lazy val db: Database = Database.fromFrames(task.spec.schema, task.frames)
 
@@ -47,7 +47,7 @@ final class Bench(spark: SparkSession, task: TaskData, base: LearnParams) {
   def simIndex(km: Int): SimIndex = simIndexTimed(km)._1
 
   private def params(mode: MdMode, cfd: Boolean): LearnParams =
-    base.copy(mdMode = mode, useCfdGroups = cfd, d = task.d)
+    LearnParams(d = task.d, mdMode = mode, useCfdGroups = cfd)
 
   /** Castor-NoMD: no MD information. */
   def castorNoMd(): CvResult =

@@ -45,13 +45,11 @@ object ExpScale {
   */
 object Tables {
 
-  val baseParams: LearnParams = LearnParams(
-    sampleSize = 10,
-    candidateSample = 10,
-    minPrecision = 0.4,
-    minPosCovered = 3,
-    maxClauses = 6,
-  )
+  /** The default learner configuration. Its only caller is the benchmark
+    * harness (perfbench's `Workloads.params`); the runners below build their
+    * own `LearnParams`.
+    */
+  val baseParams: LearnParams = LearnParams()
 
   // ---------------------------------------------------------------- tasks
 
@@ -129,7 +127,7 @@ object Tables {
     val rows = Vector.newBuilder[Row4]
     println("[table] Table 4 — learning with MDs")
     for (t <- tasks) {
-      val b = new Bench(spark, t, baseParams)
+      val b = new Bench(spark, t)
       def rec(sys: String, r: CvResult): Unit = {
         rows += Row4(t.name, sys, r)
         println(f"[table] ${t.name}%-12s ${sys}%-12s ${fmt(r)}")
@@ -159,7 +157,7 @@ object Tables {
       ("papers", (p: Double) => papersTask(spark, scale, p = p), 10),
     )
     for ((name, make, km) <- mk; p <- ps) {
-      val b = new Bench(spark, make(p), baseParams)
+      val b = new Bench(spark, make(p))
       val cfd = b.dlearnCfd(km)
       val rep = b.dlearnRepaired(km)
       rows += Row5(name, "DLearn-CFD", p, cfd)
@@ -196,7 +194,7 @@ object Tables {
     val fullIdx = SimJoin.buildIndex(spark, db, spec.mds, km = 5)
     for (km <- Seq(5, 2)) {
       val idx     = if (km == 5) fullIdx else fullIdx.truncated(km)
-      val params  = baseParams.copy(mdMode = MdMode.SimMd, useCfdGroups = true, d = 4)
+      val params  = LearnParams(d = 4, mdMode = MdMode.SimMd, useCfdGroups = true)
       val learner = new DLearn(db, spec, idx, params)
       val teP = learner.coverage.groundAll(learner.builder, tePos.map(identity))
       val teN = learner.coverage.groundAll(learner.builder, teNeg.map(identity))
@@ -230,7 +228,7 @@ object Tables {
     val rows = Vector.newBuilder[Row7]
     println("[table] Table 7 — effect of iterations d (movies 3MD, CFD, km=" + km + ")")
     for (d <- ds) {
-      val b = new Bench(spark, task.copy(d = d), baseParams)
+      val b = new Bench(spark, task.copy(d = d))
       val r = b.dlearnCfd(km)
       rows += Row7(d, r.f1, r.timeMin)
       println(f"[table] d=$d F1=${r.f1}%.2f time=${r.timeMin}%.2fm")

@@ -23,8 +23,6 @@ final class SimIndex(private val map: Map[String, Map[String, Vector[SimMatch]]]
   def matches(from: AttrRef, to: AttrRef, value: String): Vector[SimMatch] =
     map.get(SimIndex.dirKey(from, to)).flatMap(_.get(value)).getOrElse(Vector.empty)
 
-  def directionCount: Int = map.size
-
   /** The same index truncated to a smaller k_m (entries are score-sorted, so
     * a prefix is exactly the top-k index) — lets one expensive similarity
     * join serve a whole k_m sweep.

@@ -14,7 +14,7 @@ class SmokeSpec extends SparkSpec {
     val task = Tables.moviesTask(spark, ExpScale.tiny, nMds = 1, p = 0.0)
     val db   = Database.fromFrames(task.spec.schema, task.frames)
     val idx  = SimJoin.buildIndex(spark, db, task.spec.mds, km = 5)
-    val params  = Tables.baseParams.copy(mdMode = MdMode.SimMd, d = task.d)
+    val params  = LearnParams(d = task.d, mdMode = MdMode.SimMd)
     val learner = new DLearn(db, task.spec, idx, params)
     val (defn, stats) = learner.learn(task.pos, task.neg)
     info(s"definition:\n${defn.render}")
@@ -30,7 +30,7 @@ class SmokeSpec extends SparkSpec {
   test("Castor-NoMD cannot reach the OMDB side") {
     val task    = Tables.moviesTask(spark, ExpScale.tiny, nMds = 1, p = 0.0)
     val db      = Database.fromFrames(task.spec.schema, task.frames)
-    val params  = Tables.baseParams.copy(mdMode = MdMode.NoMd, d = task.d)
+    val params  = LearnParams(d = task.d, mdMode = MdMode.NoMd)
     val learner = new DLearn(db, task.spec, repro.spark.SimIndex.empty, params)
     val g       = learner.builder.build(task.pos.head, variabilize = false)
     assert(!g.body.exists(_.pred.startsWith("omdb_")), "NoMD bottom clause must stay in IMDB")

@@ -35,16 +35,6 @@ class ConstraintsSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](bad.lhsIdx(loc))
   }
 
-  test("cellMatches: wildcard accepts any non-null value") {
-    assert(phi1.cellMatches("x", None))
-    assert(!phi1.cellMatches(null, None))
-  }
-
-  test("cellMatches: constant pattern requires equality") {
-    assert(phi1.cellMatches("English", Some("English")))
-    assert(!phi1.cellMatches("French", Some("English")))
-  }
-
   /** The ground literal of a `mov2locale` tuple; a null becomes a fresh
     * variable, as in `BottomBuilder`.
     */
@@ -132,25 +122,6 @@ class ConstraintsSpec extends AnyFunSuite {
     val l1 = Literal("mov2locale", Vector(Var("x"), Const("e"), Const("USA")))
     val l2 = Literal("mov2locale", Vector(Var("x"), Const("e"), Const("Ireland")))
     assert(!fd.violatesLits(loc, l1, l2))
-  }
-
-  test("inconsistentPair detects the textbook inconsistent CFDs") {
-    // (A→B, a1||b1) and (B→A, b1||a2) over R(A,B) — paper Sec. 2.3.
-    val c1 = CFD("r", Vector("a"), "b", Vector(Some("a1")), Some("b1"))
-    val c2 = CFD("r", Vector("b"), "a", Vector(Some("b1")), Some("a2"))
-    assert(CFD.inconsistentPair(c1, c2))
-  }
-
-  test("inconsistentPair accepts compatible constant CFDs") {
-    val c1 = CFD("r", Vector("a"), "b", Vector(Some("a1")), Some("b1"))
-    val c2 = CFD("r", Vector("b"), "a", Vector(Some("b1")), Some("a1"))
-    assert(!CFD.inconsistentPair(c1, c2))
-  }
-
-  test("inconsistentPair: different relations are never inconsistent") {
-    val c1 = CFD("r", Vector("a"), "b", Vector(Some("a1")), Some("b1"))
-    val c2 = CFD("s", Vector("b"), "a", Vector(Some("b1")), Some("a2"))
-    assert(!CFD.inconsistentPair(c1, c2))
   }
 
   test("pattern arity mismatch is rejected") {

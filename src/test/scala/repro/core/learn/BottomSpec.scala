@@ -123,8 +123,8 @@ class BottomSpec extends SparkSpec {
 
   test("sampleSize caps literals per relation") {
     val manyR1b = (1 to 20).map(i => ("e1", s"tag$i"))
-    val c = builder(mkDb(r1b = manyR1b), LearnParams(d = 2, sampleSize = 5)).build(e1, variabilize = true)
-    assert(c.body.count(_.pred == "r1b") == 5)
+    val c = builder(mkDb(r1b = manyR1b), LearnParams(d = 2)).build(e1, variabilize = true)
+    assert(c.body.count(_.pred == "r1b") == 10)
   }
 
   test("CFD violations among collected tuples become groups") {

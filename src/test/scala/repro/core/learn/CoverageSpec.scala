@@ -88,7 +88,8 @@ class CoverageSpec extends AnyFunSuite {
 
   test("coveredPos returns per-example flags in order") {
     val pos = Vector(groundEx("p1", "R"), groundEx("p2", "G"))
-    assert(cov.coveredPos(cR, pos) == Vector(true, false))
+    val cExp = cov.expand(cR)
+    assert(pos.map(cov.coversPos(cExp, _)) == Vector(true, false))
   }
 
   test("Par.map preserves order and arity") {

@@ -39,12 +39,13 @@ class DLearnSpec extends SparkSpec {
     cfds = Vector(CFD.fd("r2b", Vector("id2"), "tag2")),
   )
 
-  private def db = Database.fromFrames(schema, Map(
-    "r1"  -> (0 until n).map(i => (s"e$i", name(i))).toDF("id", "name"),
-    "r1b" -> (0 until n).map(i => (s"e$i", if (red(i)) "red" else "grey")).toDF("id", "tag"),
-    "r2"  -> (0 until n).map(i => (s"f$i", name2(i))).toDF("id2", "name2"),
-    "r2b" -> (0 until n).map(i => (s"f$i", if (blue(i)) "blue" else "pink")).toDF("id2", "tag2"),
+  private def world(m: Int, tag: Int => String): Database = Database.fromFrames(schema, Map(
+    "r1"  -> (0 until m).map(i => (s"e$i", name(i))).toDF("id", "name"),
+    "r1b" -> (0 until m).map(i => (s"e$i", tag(i))).toDF("id", "tag"),
+    "r2"  -> (0 until m).map(i => (s"f$i", name2(i))).toDF("id2", "name2"),
+    "r2b" -> (0 until m).map(i => (s"f$i", if (blue(i)) "blue" else "pink")).toDF("id2", "tag2"),
   ))
+  private def db = world(n, i => if (red(i)) "red" else "grey")
 
   private val simIndex = SimIndex(Map(
     SimIndex.dirKey(AttrRef("r1", "name"), AttrRef("r2", "name2")) ->
@@ -58,7 +59,7 @@ class DLearnSpec extends SparkSpec {
   private val posEx = examples.filter(_.positive)
   private val negEx = examples.filterNot(_.positive)
 
-  private val params = LearnParams(d = 3, minPrecision = 0.7, minPosCovered = 2, candidateSample = 6)
+  private val params = LearnParams(d = 3)
 
   test("DLearn learns the cross-database conjunction exactly") {
     val learner = new DLearn(db, spec, simIndex, params)
@@ -83,15 +84,20 @@ class DLearnSpec extends SparkSpec {
     val p       = params.copy(mdMode = MdMode.NoMd)
     val learner = new DLearn(db, spec, SimIndex.empty, p)
     val (defn, _) = learner.learn(posEx, negEx)
-    // The only db1 signal is tag=red with precision 1/3 < 0.7 → empty.
+    // The only db1 signal is tag=red with precision 1/3 < 0.4 → empty.
     assert(defn.isEmpty, defn.render)
   }
 
   test("maxClauses caps the definition size") {
-    val p       = params.copy(maxClauses = 1)
-    val learner = new DLearn(db, spec, simIndex, p)
-    val (defn, _) = learner.learn(posEx, negEx)
-    assert(defn.clauses.size <= 1)
+    // Eight tags, each owned by four positives only: every tag is its own
+    // precise clause, so only the cap stops the covering loop short of 8.
+    val m       = 80
+    val owners  = 32
+    val learner = new DLearn(world(m, i => if (i < owners) s"k${i / 4}" else "grey"), spec,
+      SimIndex.empty, params.copy(mdMode = MdMode.NoMd))
+    val ex = (0 until m).map(i => Example("t", Vector(s"e$i"), positive = i < owners)).toVector
+    val (defn, _) = learner.learn(ex.filter(_.positive), ex.filterNot(_.positive))
+    assert(defn.clauses.size == 6, defn.render)
   }
 
   test("learn is deterministic for a fixed seed") {
@@ -105,8 +111,7 @@ class DLearnSpec extends SparkSpec {
     val (defn, _) = learner.learn(posEx, negEx)
     val g  = learner.coverage.ground(learner.builder, posEx.head)
     val gN = learner.coverage.ground(learner.builder, negEx.head)
-    assert(learner.predicts(defn, g))
-    assert(!learner.predicts(defn, gN))
+    assert(Eval.evaluate(learner, defn, Vector(g), Vector(gN)) == Metrics(tp = 1, fp = 0, fn = 0))
   }
 
   test("pre-grounded learning matches self-grounded learning") {

@@ -2,7 +2,7 @@ package repro.exp
 
 import repro.SparkSpec
 import repro.core.db.Database
-import repro.core.learn.{DLearn, Eval, MdMode}
+import repro.core.learn.{DLearn, Eval, LearnParams, MdMode}
 import repro.spark.SimJoin
 
 /** Integration tests of the experiment harness at tiny scale. */
@@ -49,7 +49,7 @@ class TablesSpec extends SparkSpec {
 
   test("Bench: papers NoMD learns nothing, DLearn learns well (tiny CV)") {
     val t = Tables.papersTask(spark, ExpScale.tiny, p = 0.0)
-    val b = new Bench(spark, t, Tables.baseParams)
+    val b = new Bench(spark, t)
     val noMd = b.castorNoMd()
     assert(noMd.f1 == 0.0, s"NoMD must be 0 on papers, got ${noMd.f1}")
     val dl = b.dlearn(5)
@@ -59,14 +59,14 @@ class TablesSpec extends SparkSpec {
 
   test("Bench: database is collected once and reused") {
     val t = Tables.productsTask(spark, ExpScale.tiny, p = 0.0)
-    val b = new Bench(spark, t, Tables.baseParams)
+    val b = new Bench(spark, t)
     assert(b.db eq b.db)
     assert(b.db.tupleCount == t.frames.values.map(_.count()).sum)
   }
 
   test("Bench: simIndex truncation honors k_m") {
     val t = Tables.productsTask(spark, ExpScale.tiny, p = 0.0)
-    val b = new Bench(spark, t, Tables.baseParams)
+    val b = new Bench(spark, t)
     val i2  = b.simIndex(2)
     val i10 = b.simIndex(10)
     val (refA, refB) = t.spec.mds.head.pairs.head
@@ -80,7 +80,7 @@ class TablesSpec extends SparkSpec {
     val t       = Tables.productsTask(spark, ExpScale.tiny, p = 0.0)
     val db      = Database.fromFrames(t.spec.schema, t.frames)
     val idx     = SimJoin.buildIndex(spark, db, t.spec.mds, km = 2)
-    val learner = new DLearn(db, t.spec, idx, Tables.baseParams.copy(mdMode = MdMode.SimMd, d = t.d))
+    val learner = new DLearn(db, t.spec, idx, LearnParams(d = t.d, mdMode = MdMode.SimMd))
     val g       = learner.builder.build(t.pos.head, variabilize = false)
     assert(g.body.exists(_.pred == "amazon_category"), "positive example must reach amazon_category")
     val (defn, _) = learner.learn(t.pos, t.neg)
