@@ -70,12 +70,46 @@ final class Coverage(cfds: Vector[CFD], schema: Schema, params: LearnParams) ext
   /** Negative-coverage semantics (Def. 3.6). */
   def coversNeg(cExp: Vector[Clause], g: GroundEx): Boolean =
     cExp.exists(ci => someExpansion(ci, g))
+}
 
-  /** Count (positives covered, negatives covered) for scoring. */
-  def counts(c: Clause, pos: Seq[GroundEx], neg: Seq[GroundEx]): (Int, Int) = {
-    val cExp = expand(c)
-    val p    = Par.count(pos)(coversPos(cExp, _))
-    val n    = Par.count(neg)(coversNeg(cExp, _))
-    (p, n)
+/** What one clause covers among the training examples of one `learn` call:
+  * the clause's repaired versions, computed once, and one decision per
+  * example, made at most once. Positives are decided under Def. 3.4 (∀∃),
+  * negatives under Def. 3.6 (∃∃). Decisions are held in dense arrays indexed
+  * by the example's position in `pos` / `neg`.
+  */
+final class CoverageRecord(cov: Coverage, val clause: Clause, pos: Vector[GroundEx], neg: Vector[GroundEx]) {
+  import CoverageRecord._
+
+  private val expansion = cov.expand(clause)
+  private val posState  = new Array[Byte](pos.length)
+  private val negState  = new Array[Byte](neg.length)
+
+  /** (positives covered among `ps`, negatives covered among `ns`), by
+    * position; only undecided examples are tested.
+    */
+  def counts(ps: Seq[Int], ns: Seq[Int]): (Int, Int) = {
+    decide(posState, ps)(i => cov.coversPos(expansion, pos(i)))
+    decide(negState, ns)(i => cov.coversNeg(expansion, neg(i)))
+    (ps.count(posState(_) == Covered), ns.count(negState(_) == Covered))
   }
+
+  /** The positives among `ps` that the clause does not cover, in order. */
+  def uncoveredPos(ps: Vector[Int]): Vector[Int] = {
+    decide(posState, ps)(i => cov.coversPos(expansion, pos(i)))
+    ps.filter(posState(_) == NotCovered)
+  }
+
+  private def decide(state: Array[Byte], ix: Seq[Int])(covers: Int => Boolean): Unit = {
+    val todo = ix.filter(state(_) == Unknown)
+    val hits = Par.map(todo)(covers)
+    for (k <- todo.indices)
+      state(todo(k)) = if (hits(k)) Covered else NotCovered
+  }
+}
+
+private object CoverageRecord {
+  val Unknown: Byte    = 0
+  val Covered: Byte    = 1
+  val NotCovered: Byte = 2
 }

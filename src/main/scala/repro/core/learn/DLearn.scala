@@ -38,15 +38,19 @@ final class DLearn(
       (coverage.groundAll(builder, trainPos), coverage.groundAll(builder, trainNeg))
     )
     val rng = new Random(params.seed)
+    // Coverage is decided per (clause, example) at most once per call:
+    // examples are referred to by their position in `posG` / `negG`.
+    def record(c: Clause) = new CoverageRecord(coverage, c, posG, negG)
+    val allNeg = negG.indices.toVector
 
-    var uncovered = posG
+    var uncovered = posG.indices.toVector
     val clauses   = Vector.newBuilder[Clause]
     var nClauses  = 0
     var nLits     = 0
 
     while (uncovered.nonEmpty && nClauses < params.maxClauses) {
-      val seed = uncovered.head
-      var best = builder.build(seed.ex, variabilize = true)
+      val seed = posG(uncovered.head)
+      var best = record(builder.build(seed.ex, variabilize = true))
 
       // During the generalization search, score candidates on a fixed sample
       // of the training examples (full counts decide acceptance below) — the
@@ -56,21 +60,20 @@ final class DLearn(
         if (uncovered.length <= params.evalPosCap) uncovered
         else rng.shuffle(uncovered).take(params.evalPosCap)
       val negEval =
-        if (negG.length <= params.evalNegCap) negG
-        else rng.shuffle(negG).take(params.evalNegCap)
+        if (negG.length <= params.evalNegCap) allNeg
+        else rng.shuffle(allNeg).take(params.evalNegCap)
 
-      var (bestPos, bestNeg) = coverage.counts(best, posEval, negEval)
-      var bestScore = bestPos - bestNeg
+      val (p0, n0)  = best.counts(posEval, negEval)
+      var bestScore = p0 - n0
 
       var improved = true
       while (improved) {
         improved = false
-        val bestExp = coverage.expand(best)
-        val notCovered = uncovered.filterNot(g => coverage.coversPos(bestExp, g))
+        val notCovered = best.uncoveredPos(uncovered)
         val sample     = rng.shuffle(notCovered).take(params.candidateSample)
         if (sample.nonEmpty) {
-          val cands = Par.map(sample) { g =>
-            val c = Generalize.armg(best, g.raw, params.maxFrontier)
+          val cands = Par.map(sample) { i =>
+            val c = Generalize.armg(best.clause, posG(i).raw, params.maxFrontier)
             if (c.headConnected && c.body.nonEmpty) Some(c) else None
           }.flatten.distinct
           if (cands.nonEmpty) {
@@ -82,36 +85,35 @@ final class DLearn(
             val pEv  = if (big) posEval.take(math.max(10, posEval.size / 2)) else posEval
             val nEv  = if (big) negEval.take(math.max(20, negEval.size / 2)) else negEval
             val scored = cands.map { c =>
-              val (p, n) = coverage.counts(c, pEv, nEv)
-              (c, p, n, p - n)
+              val r      = record(c)
+              val (p, n) = r.counts(pEv, nEv)
+              (r, p - n)
             }
-            val (c, p0, n0, _) = scored.maxBy(x => (x._4, -x._1.body.length))
+            val (r, s0) = scored.maxBy(x => (x._2, -x._1.clause.body.length))
             // Half-sample scores are only comparable within the round; the
             // winner is re-scored on the full eval sample before being
             // compared against the incumbent.
-            val (p, n) = if (big) coverage.counts(c, posEval, negEval) else (p0, n0)
-            if (p - n > bestScore) {
-              best = c; bestPos = p; bestNeg = n; bestScore = p - n; improved = true
+            val s = if (big) { val (p, n) = r.counts(posEval, negEval); p - n } else s0
+            if (s > bestScore) {
+              best = r; bestScore = s; improved = true
             }
           }
         }
       }
 
       // Full-count acceptance.
-      val (fullPos, fullNeg) = coverage.counts(best, uncovered, negG)
-      bestPos = fullPos; bestNeg = fullNeg
+      val (bestPos, bestNeg) = best.counts(uncovered, allNeg)
       val precision =
         if (bestPos + bestNeg == 0) 0.0 else bestPos.toDouble / (bestPos + bestNeg)
       if (
-        best.headConnected && bestPos >= params.minPosCovered &&
+        best.clause.headConnected && bestPos >= params.minPosCovered &&
         precision >= params.minPrecision
       ) {
-        best = reduce(best, posEval.take(20), negEval.take(50))
-        clauses += best
+        best = reduce(best, posEval.take(20), negEval.take(50), record)
+        clauses += best.clause
         nClauses += 1
-        nLits += best.body.length
-        val bExp = coverage.expand(best)
-        uncovered = uncovered.filterNot(g => coverage.coversPos(bExp, g))
+        nLits += best.clause.body.length
+        uncovered = best.uncoveredPos(uncovered)
       } else {
         uncovered = uncovered.tail // discard the seed example (noise / unlearnable)
       }
@@ -128,17 +130,24 @@ final class DLearn(
     * (small) sampled example sets passed in; literals are attempted from the
     * end of the body first — BFS emits the speculative deep literals last.
     */
-  private def reduce(c: Clause, pos: Vector[GroundEx], neg: Vector[GroundEx]): Clause = {
+  private def reduce(
+      c: CoverageRecord,
+      pos: Vector[Int],
+      neg: Vector[Int],
+      record: Clause => CoverageRecord,
+  ): CoverageRecord = {
     var cur      = c
-    var (p0, n0) = coverage.counts(cur, pos, neg)
-    var i        = cur.body.length - 1
+    var (p0, n0) = cur.counts(pos, neg)
+    var i        = cur.clause.body.length - 1
     while (i >= 0) {
-      if (i < cur.body.length) {
-        val cand = Clause(cur.head, cur.body.patch(i, Nil, 1), cur.groups).normalized.pruneGroups
-        val ok   = cand.body.nonEmpty && cand.headConnected && cand.body.length < cur.body.length
+      val body = cur.clause.body
+      if (i < body.length) {
+        val cand = Clause(cur.clause.head, body.patch(i, Nil, 1), cur.clause.groups).normalized.pruneGroups
+        val ok   = cand.body.nonEmpty && cand.headConnected && cand.body.length < body.length
         if (ok) {
-          val (p, n) = coverage.counts(cand, pos, neg)
-          if (p >= p0 && n <= n0) { cur = cand; p0 = p; n0 = n }
+          val r      = record(cand)
+          val (p, n) = r.counts(pos, neg)
+          if (p >= p0 && n <= n0) { cur = r; p0 = p; n0 = n }
         }
       }
       i -= 1

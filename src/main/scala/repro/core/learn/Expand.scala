@@ -88,8 +88,8 @@ object Expand {
       c: Clause,
       cfds: Vector[CFD],
       schema: Schema,
-      maxOut: Int = 32,
-      maxDepth: Int = 6,
+      maxOut: Int,
+      maxDepth: Int,
   ): Vector[Clause] = {
     if (c.liveGroups.isEmpty) return Vector(c)
     val out  = mutable.LinkedHashSet.empty[Clause]

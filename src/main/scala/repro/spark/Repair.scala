@@ -65,20 +65,4 @@ object Repair {
     }
     cur
   }
-
-  /** Count violating tuples of one CFD (tuples belonging to an LHS group with
-    * conflicting RHS, or failing a constant RHS pattern) — used by tests and
-    * by the injection-rate report.
-    */
-  def violationCount(df: DataFrame, cfd: CFD): Long = {
-    val groups = df
-      .filter(lhsMatch(cfd))
-      .groupBy(cfd.lhs.map(col): _*)
-      .agg(countDistinct(col(cfd.rhs)).as("__nrhs"))
-    val violated: Column = cfd.rhsPattern match {
-      case Some(c) => lhsMatch(cfd) && col(cfd.rhs) =!= lit(c)
-      case None    => col("__nrhs") > 1
-    }
-    df.join(groups, cfd.lhs, "left").filter(coalesce(violated, lit(false))).count()
-  }
 }

@@ -81,9 +81,30 @@ class CoverageSpec extends AnyFunSuite {
   test("counts tallies positive and negative coverage in parallel") {
     val pos = Vector(groundEx("p1", "R"), groundEx("p2", "R", "PG"), groundEx("p3", "G"))
     val neg = Vector(groundEx("n1", "PG"), groundEx("n2", "PG", "R"))
-    val (p, n) = cov.counts(cR, pos, neg)
-    assert(p == 2) // p1 clean, p2 dirty-covered; p3 not
-    assert(n == 1) // n2 via spurious R
+    val rec = new CoverageRecord(cov, cR, pos, neg)
+    // p1 clean, p2 dirty-covered, p3 not; n2 via spurious R. The second
+    // count reads the decisions the first one made.
+    assert(rec.counts(pos.indices, neg.indices) == ((2, 1)))
+    assert(rec.counts(pos.indices, neg.indices) == ((2, 1)))
+    assert(rec.counts(Vector(2, 0), Vector(1)) == ((1, 1)))
+    assert(rec.uncoveredPos(pos.indices.toVector) == Vector(2))
+  }
+
+  test("the record decides an example separately as a positive and as a negative") {
+    val both = Vector(
+      Literal("rating", Vector(x, C("R"))),
+      Literal("rating", Vector(x, C("PG"))),
+    )
+    val cBoth = Clause(Literal("t", Vector(x)), both, Expand.detectGroups(both, cfds, schema))
+    val g     = Vector(groundEx("e", "R"))
+    // Covered under ∃∃ (Def. 3.6) but not under ∀∃ (Def. 3.4), whichever
+    // sense is decided first.
+    val negFirst = new CoverageRecord(cov, cBoth, g, g)
+    assert(negFirst.counts(Vector.empty, Vector(0)) == ((0, 1)))
+    assert(negFirst.counts(Vector(0), Vector(0)) == ((0, 1)))
+    val posFirst = new CoverageRecord(cov, cBoth, g, g)
+    assert(posFirst.uncoveredPos(Vector(0)) == Vector(0))
+    assert(posFirst.counts(Vector(0), Vector(0)) == ((0, 1)))
   }
 
   test("coveredPos returns per-example flags in order") {

@@ -4,7 +4,8 @@ import repro.SparkSpec
 import repro.core.constraints.{CFD, MD}
 import repro.core.db._
 import repro.core.logic._
-import repro.spark.{SimIndex, SimMatch}
+import repro.exp.{ExpScale, Tables, TaskData}
+import repro.spark.{SimIndex, SimJoin, SimMatch}
 
 /** Covering-loop learner on a small controlled two-database world:
   * entity i is positive iff tag(i) == "red" (db1) AND tag2(i) == "blue" (db2);
@@ -128,5 +129,33 @@ class DLearnSpec extends SparkSpec {
     val (defn, stats) = learner.learn(Vector.empty, negEx)
     assert(defn.isEmpty)
     assert(stats.clauses == 0)
+  }
+
+  // ---- golden definitions: reusing coverage decisions within a `learn`
+  // call and the ARMG frontier's layout must not move any learned clause.
+
+  private def learned(t: TaskData, km: Int, cfd: Boolean): String = {
+    val db  = Database.fromFrames(t.spec.schema, t.frames)
+    val idx = SimJoin.buildIndex(spark, db, t.spec.mds, km)
+    val l   = new DLearn(db, t.spec, idx, LearnParams(d = t.d, mdMode = MdMode.SimMd, useCfdGroups = cfd))
+    l.learn(t.pos, t.neg)._1.render
+  }
+
+  test("golden definition: DLearn k_m=2 on tiny papers") {
+    assert(learned(Tables.papersTask(spark, ExpScale.tiny, p = 0.0), km = 2, cfd = false) ==
+      """gsPaperYear(v1, v2) :- scholar_paper(v1, v3, v4), dblp_paper(v12, v13, v4, v2), ≈(v3, v13)
+        |gsPaperYear(v1, v2) :- scholar_paper(v1, v3, v4), dblp_paper(v8, v9, v10, v2), ≈(v3, v9), ≈(v4, v10)""".stripMargin)
+  }
+
+  test("golden definition: DLearn k_m=2 on tiny products") {
+    assert(learned(Tables.productsTask(spark, ExpScale.tiny, p = 0.0), km = 2, cfd = false) ==
+      """upcOfComputersAccessories(v1) :- walmart_ids(v2, v3, v1), amazon_category(v5, "ComputersAccessories"), amazon_brand(v5, v3)""")
+  }
+
+  test("golden definition: DLearn-CFD k_m=5 on tiny movies with 3 MDs at p=0.1") {
+    assert(learned(Tables.moviesTask(spark, ExpScale.tiny, nMds = 3, p = 0.1), km = 5, cfd = true) ==
+      """dramaRestricted(v1) :- imdb_movies(v1, v2, v3), imdb_mov2genres(v1, "Drama"), imdb_mov2countries(v1, "usa"), imdb_mov2cast(v1, v4), imdb_mov2cast(v1, v5), imdb_mov2writers(v1, v6), omdb_movies(v10, v11, v12), ≈(v2, v11), omdb_movies(v16, v17, v18), ≈(v2, v17), omdb_movies(v19, v20, v21), ≈(v2, v20), omdb_mov2cast(v27, v26), ≈(v4, v26), omdb_mov2cast(v28, v29), ≈(v4, v29), ≈(v4, v31), omdb_mov2cast(v33, v34), ≈(v4, v34), omdb_mov2writers(v36, v6), imdb_movies(v52, v53, v54), ≈(v2, v53), imdb_movies(v55, v56, v57), ≈(v2, v56), imdb_movies(v58, v59, v60), ≈(v2, v59), imdb_movies(v61, v62, v63), ≈(v11, v62), omdb_mov2rating(v16, "R"), imdb_mov2cast(v78, v26), imdb_mov2cast(v80, v29), imdb_mov2cast(v82, v31), omdb_mov2rating(v27, "PG13"), imdb_mov2countries(v52, "usa")
+        |dramaRestricted(v1) :- imdb_mov2genres(v1, "Drama"), imdb_mov2cast(v1, v4), omdb_mov2cast(v8, v4), omdb_mov2genres(v8, "Drama"), omdb_mov2rating(v8, "R")
+        |dramaRestricted(v1) :- imdb_movies(v1, v2, v3), imdb_mov2genres(v1, "Drama"), omdb_movies(v8, v2, v3), omdb_mov2rating(v8, "R")""".stripMargin)
   }
 }

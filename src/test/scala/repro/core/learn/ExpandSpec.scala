@@ -15,6 +15,11 @@ class ExpandSpec extends AnyFunSuite {
   ))
   private val fdRating = Vector(CFD.fd("rating", Vector("id"), "rating"))
 
+  /** Repairs under the caps every learner run uses. */
+  private val params = LearnParams()
+  private def repairs(cl: Clause, cfds: Vector[CFD]): Vector[Clause] =
+    Expand.repairs(cl, cfds, schema, params.maxExpansions, params.maxExpandDepth)
+
   private val head = Literal("t", Vector(x))
   private val lR   = Literal("rating", Vector(x, C("R")))
   private val lPG  = Literal("rating", Vector(x, C("PG")))
@@ -43,13 +48,13 @@ class ExpandSpec extends AnyFunSuite {
 
   test("no live groups expands to the clause itself") {
     val cl = Clause(head, Vector(lR), Vector.empty)
-    assert(Expand.repairs(cl, fdRating, schema) == Vector(cl))
+    assert(repairs(cl, fdRating) == Vector(cl))
   }
 
   test("wildcard RHS: repairs keep either conflicting value") {
     val groups = Expand.detectGroups(Vector(lR, lPG), fdRating, schema)
     val cl     = Clause(head, Vector(lR, lPG), groups)
-    val reps   = Expand.repairs(cl, fdRating, schema)
+    val reps   = repairs(cl, fdRating)
     val bodies = reps.map(_.body.toSet)
     assert(bodies.contains(Set(lR)), "keeping R must be a repair")
     assert(bodies.contains(Set(lPG)), "keeping PG must be a repair")
@@ -61,7 +66,7 @@ class ExpandSpec extends AnyFunSuite {
     val gPG = Literal("rating", Vector(C("o1"), C("PG")))
     val grp = Expand.detectGroups(Vector(gR, gPG), fdRating, schema)
     val cl  = Clause(Literal("t", Vector(C("e"))), Vector(gR, gPG), grp)
-    val bodies = Expand.repairs(cl, fdRating, schema).map(_.body.toSet)
+    val bodies = repairs(cl, fdRating).map(_.body.toSet)
     assert(bodies.contains(Set(gR)))
     assert(bodies.contains(Set(gPG)))
   }
@@ -70,7 +75,7 @@ class ExpandSpec extends AnyFunSuite {
     val cfds = Vector(CFD("rating", Vector("id"), "rating", Vector(None), Some("R")))
     val grp  = Expand.detectGroups(Vector(lPG), cfds, schema)
     val cl   = Clause(head, Vector(lPG), grp)
-    val reps = Expand.repairs(cl, cfds, schema)
+    val reps = repairs(cl, cfds)
     assert(reps.exists(_.body.contains(Literal("rating", Vector(x, C("R"))))))
     // dropping the literal is also admissible (LHS modification)
     assert(reps.exists(_.body.isEmpty))
@@ -82,7 +87,7 @@ class ExpandSpec extends AnyFunSuite {
     val l2   = Literal("r3", Vector(x, C("b2"), C("c2")))
     val grp  = Expand.detectGroups(Vector(l1, l2), cfds, schema)
     val cl   = Clause(head, Vector(l1, l2), grp)
-    val reps = Expand.repairs(cl, cfds, schema)
+    val reps = repairs(cl, cfds)
     // unify-to-l1: l2's b becomes b1 but c2 stays → two literals remain
     assert(reps.exists(r =>
       r.body.toSet == Set(l1, Literal("r3", Vector(x, C("b1"), C("c2"))))
@@ -96,7 +101,7 @@ class ExpandSpec extends AnyFunSuite {
     val l2   = Literal("r3", Vector(x, C("b2"), C("c2")))
     val grp  = Expand.detectGroups(Vector(l1, l2), cfds, schema)
     val cl   = Clause(head, Vector(l1, l2), grp)
-    val reps = Expand.repairs(cl, cfds, schema)
+    val reps = repairs(cl, cfds)
     assert(reps.nonEmpty)
     // every produced repair must be violation-free w.r.t. BOTH CFDs
     for (r <- reps)
@@ -107,7 +112,7 @@ class ExpandSpec extends AnyFunSuite {
     val lits = Vector("R", "PG", "G", "PG13").map(v => Literal("rating", Vector(x, C(v))))
     val grp  = Expand.detectGroups(lits, fdRating, schema)
     val cl   = Clause(head, lits, grp)
-    val reps = Expand.repairs(cl, fdRating, schema, maxOut = 3)
+    val reps = Expand.repairs(cl, fdRating, schema, maxOut = 3, maxDepth = params.maxExpandDepth)
     assert(reps.size <= 3)
     assert(reps.nonEmpty)
   }
@@ -115,7 +120,7 @@ class ExpandSpec extends AnyFunSuite {
   test("expansions carry no groups") {
     val grp = Expand.detectGroups(Vector(lR, lPG), fdRating, schema)
     val cl  = Clause(head, Vector(lR, lPG), grp)
-    assert(Expand.repairs(cl, fdRating, schema).forall(_.groups.isEmpty))
+    assert(repairs(cl, fdRating).forall(_.groups.isEmpty))
   }
 
   test("variable-headed clauses get head-connectivity pruning after drops") {
@@ -125,7 +130,7 @@ class ExpandSpec extends AnyFunSuite {
     val dep2 = Literal("rating", Vector(y, C("PG")))
     val grp  = Expand.detectGroups(Vector(dep, dep2), fdRating, schema)
     val cl   = Clause(head, Vector(join, dep, dep2), grp)
-    val reps = Expand.repairs(cl, fdRating, schema)
+    val reps = repairs(cl, fdRating)
     // all repairs keep the head-connected join literal
     assert(reps.forall(_.body.contains(join)))
   }
@@ -138,7 +143,7 @@ class ExpandSpec extends AnyFunSuite {
     val b2  = Literal("rating", Vector(y, C("PG13")))
     val all = Vector(a1, a2, b1, b2)
     val cl  = Clause(Literal("t", Vector(x, y)), all, Expand.detectGroups(all, fdRating, schema))
-    val reps = Expand.repairs(cl, fdRating, schema)
+    val reps = repairs(cl, fdRating)
     // 2 choices for x-group × 2 for y-group (plus drop variants) — at least 4 distinct
     assert(reps.map(_.body.toSet).distinct.size >= 4)
   }

@@ -143,4 +143,25 @@ class SubsumePropSpec extends AnyFunSuite {
       subList(r.body, c.body) && (!headsUnify || (oracle(r, g) && Subsume.subsumes(r, new GIndex(g))))
     }, minTests = 5000)
   }
+
+  /** Bodies of up to eight literals over variables x, y, z, w, a third of
+    * them similarity literals, under a head on x: long enough for frontiers
+    * of many substitutions, some of which leave variables unbound.
+    */
+  private val armgClauseGen: Gen[Clause] = for {
+    n     <- Gen.choose(1, 8)
+    preds <- Gen.listOfN(n, anyPredGen)
+    argss <- Gen.listOfN(n, Gen.listOfN(2, termGen))
+  } yield Clause(
+    Literal("t", Vector(Var("x"))),
+    preds.zip(argss).map { case (p, as) => Literal(p, as.toVector) }.toVector,
+    Vector.empty,
+  )
+
+  test("ARMG equals the reference LinkedHashSet frontier, clause for clause") {
+    Props.check(Prop.forAll(armgClauseGen, targetGen, Gen.oneOf(1, 2, 3, 4, 256)) { (c, g, cap) =>
+      val gi = new GIndex(g)
+      Generalize.armg(c, gi, maxFrontier = cap) == ReferenceArmg.armg(c, gi, cap)
+    }, minTests = 20000)
+  }
 }

@@ -1,7 +1,7 @@
 package repro.dirty
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, Violations}
 import repro.core.constraints.CFD
 import repro.spark.Repair
 
@@ -58,7 +58,7 @@ class InjectSpec extends SparkSpec {
       "r" -> out,
     )
     assert(got.count() > 0)
-    assert(Repair.violationCount(out, fd) >= 2 * got.count())
+    assert(Violations.count(out, fd) >= 2 * got.count())
   }
 
   test("injection is deterministic in the seed") {
@@ -73,7 +73,7 @@ class InjectSpec extends SparkSpec {
     val df  = base(400)
     val out = Inject.violations(df, "v", 0.15, seed = 3, Inject.rotate(Vector("p", "q")))
     val rep = Repair.repairAll(Map("r" -> out), Vector(fd))("r")
-    assert(Repair.violationCount(rep, fd) == 0)
+    assert(Violations.count(rep, fd) == 0)
     assert(rep.count() == df.count(), "repair collapses duplicates back to one tuple per key")
   }
 }

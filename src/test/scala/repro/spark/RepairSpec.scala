@@ -1,7 +1,7 @@
 package repro.spark
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, Violations}
 import repro.core.constraints.CFD
 
 class RepairSpec extends SparkSpec {
@@ -32,7 +32,7 @@ class RepairSpec extends SparkSpec {
 
   test("repaired relation has no remaining violations") {
     val df = Seq(("o1", "R"), ("o1", "PG"), ("o1", "G"), ("o2", "R"), ("o2", "PG")).toDF("id", "rating")
-    assert(Repair.violationCount(Repair.repairOne(df, fd), fd) == 0)
+    assert(Violations.count(Repair.repairOne(df, fd), fd) == 0)
   }
 
   test("constant-RHS pattern repairs to the pattern constant") {
@@ -57,7 +57,7 @@ class RepairSpec extends SparkSpec {
   test("violationCount counts tuples in conflicting groups — oracle-checked") {
     val df = Seq(("o1", "R"), ("o1", "PG"), ("o2", "G"), ("o3", "R"), ("o3", "R")).toDF("id", "rating")
     val spark2 = spark; import spark2.implicits._
-    val got = Seq(Repair.violationCount(df, fd)).toDF("violations")
+    val got = Seq(Violations.count(df, fd)).toDF("violations")
       .select(col("violations").cast("string").as("violations"))
     Oracle.assertEquivalent(
       got,
@@ -74,8 +74,8 @@ class RepairSpec extends SparkSpec {
     )
     val cfds = Vector(fd, CFD.fd("movies", Vector("id"), "title"))
     val out  = Repair.repairAll(frames, cfds)
-    assert(Repair.violationCount(out("rating"), cfds(0)) == 0)
-    assert(Repair.violationCount(out("movies"), cfds(1)) == 0)
+    assert(Violations.count(out("rating"), cfds(0)) == 0)
+    assert(Violations.count(out("movies"), cfds(1)) == 0)
     assert(out("rating").count() == 1)
     assert(out("movies").count() == 1)
   }
@@ -91,8 +91,8 @@ class RepairSpec extends SparkSpec {
     val cfds = Vector(CFD.fd("r", Vector("a"), "b"), CFD.fd("r", Vector("b"), "c"))
     val df   = Seq(("x", "b1", "c1"), ("x", "b2", "c2")).toDF("a", "b", "c")
     val out  = Repair.repairAll(Map("r" -> df), cfds)("r")
-    assert(Repair.violationCount(out, cfds(0)) == 0)
-    assert(Repair.violationCount(out, cfds(1)) == 0)
+    assert(Violations.count(out, cfds(0)) == 0)
+    assert(Violations.count(out, cfds(1)) == 0)
   }
 
   test("repair only modifies RHS values (minimal repair, no tuple deletion beyond dedupe)") {
