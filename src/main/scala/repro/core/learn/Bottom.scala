@@ -13,9 +13,9 @@ import repro.spark.SimIndex
   * selections); similarity expansion follows the MDs through the precomputed
   * top-k_m similarity index (the paper's `ψ_{B≈M}`), recording a similarity
   * literal per matched value pair. Per-relation literal count is capped by
-  * `sampleSize` (paper Sec. 5). Finally CFD violations among the collected
-  * literals are recorded as repair groups (the compact form of the paper's
-  * repair literals, DESIGN.md §7.2).
+  * `sampleSize` (paper Sec. 5). The clause records no CFD violations:
+  * `Expand` derives them from the body where coverage needs them
+  * (DESIGN.md §7.2).
   */
 final class BottomBuilder(
     db: Database,
@@ -143,10 +143,6 @@ final class BottomBuilder(
       case SimEvent(src, dst) =>
         body += Literal.sim(term(src, isConst = false), term(dst, isConst = false))
     }
-    val clause = Clause(head, body.result(), Vector.empty)
-    val groups =
-      if (params.useCfdGroups) Expand.detectGroups(clause.body, spec.cfds, db.schema)
-      else Vector.empty
-    clause.copy(groups = groups)
+    Clause(head, body.result())
   }
 }

@@ -25,13 +25,10 @@ final case class GroundEx(ex: Example, raw: GIndex, expansions: Vector[GIndex], 
   *
   * MD repair literals need no expansion (Theorem 4.9: θ-subsumption is sound
   * and complete for MD-only repairs), so similarity literals are matched
-  * directly; only CFD repairs are enumerated.
+  * directly; only CFD repairs are enumerated, those of `cfds`, which is
+  * empty for the systems that ignore CFD violations.
   */
 final class Coverage(cfds: Vector[CFD], schema: Schema, params: LearnParams) extends Serializable {
-
-  /** Ground an example: build its ground bottom-clause and repaired versions. */
-  def ground(builder: BottomBuilder, e: Example): GroundEx =
-    groundFrom(e, builder.build(e, variabilize = false))
 
   /** Assemble a [[GroundEx]] from an already-built ground clause. An
     * expansion or union with the ground clause's head and body shares its
@@ -40,15 +37,16 @@ final class Coverage(cfds: Vector[CFD], schema: Schema, params: LearnParams) ext
   def groundFrom(e: Example, g: Clause): GroundEx = {
     val exp = Expand.repairs(g, cfds, schema, params.maxExpansions, params.maxExpandDepth)
     val raw = new GIndex(g)
-    def index(c: Clause): GIndex = if (c.head == g.head && c.body == g.body) raw else new GIndex(c)
+    def index(c: Clause): GIndex = if (c == g) raw else new GIndex(c)
     val union =
       if (exp.lengthCompare(1) <= 0) raw
-      else index(Clause(g.head, (g.body ++ exp.flatMap(_.body)).distinct, Vector.empty))
+      else index(Clause(g.head, (g.body ++ exp.flatMap(_.body)).distinct))
     GroundEx(e, raw, exp.map(index), union)
   }
 
+  /** Ground each example: build its ground bottom-clause and repaired versions. */
   def groundAll(builder: BottomBuilder, es: Seq[Example]): Vector[GroundEx] =
-    Par.map(es)(ground(builder, _))
+    Par.map(es)(e => groundFrom(e, builder.build(e, variabilize = false)))
 
   /** The repaired versions of a candidate clause, computed once per clause. */
   def expand(c: Clause): Vector[Clause] =

@@ -23,7 +23,7 @@ final class DLearn(
     params: LearnParams,
 ) {
   val builder  = new BottomBuilder(db, spec, simIndex, params)
-  val coverage = new Coverage(spec.cfds, db.schema, params)
+  val coverage = new Coverage(if (params.useCfdGroups) spec.cfds else Vector.empty, db.schema, params)
 
   /** Learn a definition from training examples. Ground bottom-clauses may be
     * passed in pre-computed (they are fold-independent); otherwise they are
@@ -142,7 +142,7 @@ final class DLearn(
     while (i >= 0) {
       val body = cur.clause.body
       if (i < body.length) {
-        val cand = Clause(cur.clause.head, body.patch(i, Nil, 1), cur.clause.groups).normalized.pruneGroups
+        val cand = Clause(cur.clause.head, body.patch(i, Nil, 1)).normalized
         val ok   = cand.body.nonEmpty && cand.headConnected && cand.body.length < body.length
         if (ok) {
           val r      = record(cand)

@@ -6,6 +6,14 @@ import repro.core.constraints.CFD
 import repro.core.db.Schema
 import repro.core.logic._
 
+/** Two body literals that jointly violate a CFD: the compact stand-in for the
+  * paper's CFD repair literals (Sec. 3.2). For a constant-RHS CFD a single
+  * literal can violate on its own; then `l1 == l2`.
+  *
+  * @param cfdId index of the CFD in the list passed to [[Expand.detectGroups]]
+  */
+final case class CfdGroup(cfdId: Int, l1: Literal, l2: Literal)
+
 /** Enumeration of the CFD-repaired versions of a clause (paper Sec. 3.2:
   * "converting a clause with repair literals to a set of repaired clauses").
   *
@@ -20,6 +28,12 @@ import repro.core.logic._
   * A repair may induce new violations (of another CFD over the same
   * relation); expansion re-detects and recurses, bounded by `maxDepth` and
   * `maxOut` (the paper's fixpoint, Sec. 4.1).
+  *
+  * Violations are detected here, from the body at hand, and nowhere else: a
+  * clause stores none. Each check looks at one pair of literals, so the
+  * violations of a sub-body are those of the full body among the literals
+  * that remain (Theorem 4.12: dropping literals drops only the repair
+  * literals that mention them).
   */
 object Expand {
 
@@ -81,8 +95,8 @@ object Expand {
     if (i < 0) body else body.patch(i, Nil, 1)
   }
 
-  /** All repaired versions of `c` (no live groups remain), bounded. A clause
-    * with no live groups expands to itself.
+  /** All repaired versions of `c` (no violations of `cfds` remain), bounded.
+    * A clause without violations expands to itself.
     */
   def repairs(
       c: Clause,
@@ -91,28 +105,25 @@ object Expand {
       maxOut: Int,
       maxDepth: Int,
   ): Vector[Clause] = {
-    if (c.liveGroups.isEmpty) return Vector(c)
+    val groups = detectGroups(c.body, cfds, schema)
+    if (groups.isEmpty) return Vector(c)
     val out  = mutable.LinkedHashSet.empty[Clause]
-    val seen = mutable.HashSet.empty[(Literal, Vector[Literal])]
+    val seen = mutable.HashSet.empty[Clause]
 
     def post(head: Literal, body: Vector[Literal]): Clause = {
-      val cl = Clause(head, body, Vector.empty)
-      val normalized =
-        if (head.vars.nonEmpty) cl.normalized // learnable clause: prune disconnected parts
-        else cl                               // ground clause: keep as evidence set
-      val groups = detectGroups(normalized.body, cfds, schema)
-      normalized.copy(groups = groups)
+      val cl = Clause(head, body)
+      if (head.vars.nonEmpty) cl.normalized // learnable clause: prune disconnected parts
+      else cl                               // ground clause: keep as evidence set
     }
 
-    def rec(cl: Clause, depth: Int): Unit = {
+    def rec(cl: Clause, groups: Vector[CfdGroup], depth: Int): Unit = {
       if (out.size >= maxOut) return
-      if (!seen.add((cl.head, cl.body))) return
-      val live = cl.liveGroups
-      if (live.isEmpty || depth <= 0) {
-        out += cl.copy(groups = Vector.empty)
+      if (!seen.add(cl)) return
+      if (groups.isEmpty || depth <= 0) {
+        out += cl
         return
       }
-      val g    = live.head
+      val g    = groups.head
       val cfd  = cfds(g.cfdId)
       val spec = schema(cfd.rel)
       val r    = cfd.rhsIdx(spec)
@@ -131,10 +142,13 @@ object Expand {
       // LHS modification: the literal stops joining — drop it.
       alts += dropLit(cl.body, g.l1)
       if (g.l1 != g.l2) alts += dropLit(cl.body, g.l2)
-      for (body <- alts.distinct) rec(post(cl.head, body), depth - 1)
+      for (body <- alts.distinct) {
+        val next = post(cl.head, body)
+        rec(next, detectGroups(next.body, cfds, schema), depth - 1)
+      }
     }
 
-    rec(c, maxDepth)
-    if (out.isEmpty) Vector(c.copy(groups = Vector.empty)) else out.toVector
+    rec(c, groups, maxDepth)
+    if (out.isEmpty) Vector(c) else out.toVector
   }
 }

@@ -9,10 +9,10 @@ import repro.core.logic.{Clause, Literal}
   * substitutions into the target example's ground bottom-clause; a literal
   * that empties the frontier is a *blocking literal* and is removed. The
   * result θ-subsumes the input (literal dropping only) and covers the target
-  * example by construction; head-connectivity is restored afterwards, and
-  * repair groups whose literals were dropped disappear (the repaired versions
-  * of the result generalize the repaired versions of the input —
-  * Theorem 4.12).
+  * example by construction; head-connectivity is restored afterwards. The
+  * CFD violations of the result are those of the input among the literals
+  * it keeps, so its repaired versions generalize those of the input
+  * (Theorem 4.12).
   */
 object Generalize {
 
@@ -35,7 +35,7 @@ object Generalize {
       // An empty extension marks a blocking literal: drop it, keep the frontier.
       if (f.advance()) kept += c.body(i)
     }
-    Clause(c.head, kept.result(), c.groups).normalized.pruneGroups
+    Clause(c.head, kept.result()).normalized
   }
 }
 

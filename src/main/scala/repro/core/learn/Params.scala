@@ -16,9 +16,12 @@ object MdMode {
   *
   * @param d               bottom-clause BFS iterations (paper's `d`, Table 7)
   * @param mdMode          MD usage mode of the system under test
-  * @param useCfdGroups    DLearn-CFD when true; when false CFD violations in
-  *                        clauses are ignored (used for MD-only DLearn and for
-  *                        DLearn-Repaired, whose input has no violations)
+  * @param useCfdGroups    DLearn-CFD when true: `DLearn` hands the dataset's
+  *                        CFDs to `Coverage`, whose tests enumerate the CFD
+  *                        repairs of clauses and ground examples; when false
+  *                        it hands none, so CFD violations are ignored (used
+  *                        for MD-only DLearn and for DLearn-Repaired, whose
+  *                        input has no violations)
   */
 final case class LearnParams(
     d: Int = 3,

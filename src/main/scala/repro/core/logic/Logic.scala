@@ -2,10 +2,10 @@ package repro.core.logic
 
 /** First-order logic core for DLearn: terms, literals, Horn clauses.
   *
-  * Everything is an immutable, serializable case class so clauses can cross
-  * Spark/thread-pool boundaries. Predicate names of relation literals are the
-  * relation names of the schema; one built-in predicate exists: similarity
-  * (`Literal.Sim`, from MD matches).
+  * Everything is an immutable case class, so clauses can be shared across the
+  * learner's worker threads without copying. Predicate names of relation
+  * literals are the relation names of the schema; one built-in predicate
+  * exists: similarity (`Literal.Sim`, from MD matches).
   */
 sealed trait Term extends Serializable {
   /** Rendering used in clause pretty-printing. */
@@ -36,17 +36,6 @@ final case class Literal(pred: String, args: Vector[Term]) extends Serializable 
 
   def vars: Set[Var] = args.collect { case v: Var => v }.toSet
 
-  /** Apply a substitution; unmapped variables stay as-is. */
-  def subst(theta: Map[Var, Term]): Literal =
-    copy(args = args.map {
-      case v: Var => theta.getOrElse(v, v)
-      case c      => c
-    })
-
-  /** Replace one term by another everywhere in this literal. */
-  def replaceTerm(from: Term, to: Term): Literal =
-    copy(args = args.map(a => if (a == from) to else a))
-
   def render: String = pred + "(" + args.map(_.render).mkString(", ") + ")"
 }
 
@@ -57,45 +46,21 @@ object Literal {
   def sim(a: Term, b: Term): Literal = Literal(Sim, Vector(a, b))
 }
 
-/** A CFD-violation repair group attached to a clause: the compact stand-in for
-  * the paper's CFD repair literals (Sec. 3.2). `l1` and `l2` are the two body
-  * literals of relation `cfd.relation` that jointly violate `cfd`. The group
-  * is *live* only while both literals remain in the body; generalization that
-  * drops either literal also removes the violation (and the group).
-  *
-  * @param cfdId index of the CFD in the dataset's CFD list (kept as an id so
-  *              groups stay small and serializable)
-  */
-final case class CfdGroup(cfdId: Int, l1: Literal, l2: Literal) extends Serializable
-
-/** A Horn clause `head :- body`, with CFD repair groups.
+/** A Horn clause `head :- body`.
   *
   * Body order matters: bottom-clause construction emits literals in BFS
   * discovery order and ARMG scans them in that order (the paper's "total
-  * order ... in each clause in the hypothesis space").
+  * order ... in each clause in the hypothesis space"). A clause carries no
+  * CFD repair literals: they are a function of its body and the CFDs
+  * (paper Sec. 3.2), which `Expand` computes where coverage needs them.
   */
-final case class Clause(head: Literal, body: Vector[Literal], groups: Vector[CfdGroup])
-    extends Serializable {
-
-  def vars: Set[Var] = head.vars ++ body.flatMap(_.vars)
+final case class Clause(head: Literal, body: Vector[Literal]) extends Serializable {
 
   /** This clause compiled for θ-subsumption and ARMG, built on first use and
     * shared by every test of the clause.
     */
   @transient private[core] lazy val compiled: repro.core.learn.CompiledClause =
     new repro.core.learn.CompiledClause(this)
-
-  /** Groups whose both literals are still present in the body. */
-  def liveGroups: Vector[CfdGroup] = {
-    val bs = body.toSet
-    groups.filter(g => bs.contains(g.l1) && bs.contains(g.l2))
-  }
-
-  def withBody(newBody: Vector[Literal]): Clause =
-    Clause(head, newBody, groups).pruneGroups
-
-  /** Drop groups referring to removed literals. */
-  def pruneGroups: Clause = copy(groups = liveGroups)
 
   /** All head variables appear in some body literal — required for a clause
     * to be a valid (range-restricted) definition.
@@ -127,7 +92,7 @@ final case class Clause(head: Literal, body: Vector[Literal], groups: Vector[Cfd
     }
     // Preserve original body order.
     val keepSet = keep.toSet
-    withBody(body.filter(keepSet.contains))
+    copy(body = body.filter(keepSet.contains))
   }
 
   /** Drop sim literals that no longer touch any relation literal's
@@ -136,7 +101,7 @@ final case class Clause(head: Literal, body: Vector[Literal], groups: Vector[Cfd
     */
   def dropDanglingBuiltins: Clause = {
     val relVars: Set[Var] = body.filter(_.isRel).flatMap(_.vars).toSet ++ head.vars
-    withBody(body.filter(l => l.isRel || l.vars.forall(relVars.contains)))
+    copy(body = body.filter(l => l.isRel || l.vars.forall(relVars.contains)))
   }
 
   /** Fixpoint of head-connectivity pruning and dangling-builtin removal:
@@ -153,9 +118,7 @@ final case class Clause(head: Literal, body: Vector[Literal], groups: Vector[Cfd
     cur
   }
 
-  def render: String =
-    head.render + " :- " + body.map(_.render).mkString(", ") +
-      (if (groups.nonEmpty) s"  [${groups.size} cfd group(s)]" else "")
+  def render: String = head.render + " :- " + body.map(_.render).mkString(", ")
 }
 
 /** A learned definition: a set of clauses with the same head predicate. */

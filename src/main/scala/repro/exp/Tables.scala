@@ -2,6 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 
+import repro.core.db.Database
 import repro.core.learn._
 import repro.dirty.{Movies, Papers, Products}
 import repro.spark.SimJoin
@@ -177,17 +178,11 @@ object Tables {
   def table6(spark: SparkSession, nMovies: Int = 4000,
              sizes: Seq[(Int, Int)] = Seq((50, 100), (100, 200), (200, 400)),
              testSize: (Int, Int) = (100, 200)): Vector[Row6] = {
-    val seed = 42L
-    val cfg  = Movies.Config(n = nMovies, seed = seed)
-    val ds   = Movies.rows(spark, cfg)
-    val rws  = ds.collect().toSeq
     val maxP = sizes.map(_._1).max + testSize._1
     val maxN = sizes.map(_._2).max + testSize._2
-    val (allPos, allNeg) = Movies.examples(rws, maxP, maxN, seed)
-    val frames = Movies.injected(Movies.frames(ds), 0.10, seed)
-    val spec   = Movies.spec(3)
-    val db     = repro.core.db.Database.fromFrames(spec.schema, frames)
-    val (tePos, teNeg) = (allPos.take(testSize._1), allNeg.take(testSize._2))
+    val task = moviesTask(spark, ExpScale.bench.copy(nMovies = nMovies), nMds = 3, p = 0.10, nEx = Some((maxP, maxN)))
+    val spec = task.spec
+    val db   = Database.fromFrames(spec.schema, task.frames)
 
     val rows = Vector.newBuilder[Row6]
     println("[table] Table 6 — scaling training examples (movies 3MD, p=0.10)")
@@ -196,11 +191,11 @@ object Tables {
       val idx     = if (km == 5) fullIdx else fullIdx.truncated(km)
       val params  = LearnParams(d = 4, mdMode = MdMode.SimMd, useCfdGroups = true)
       val learner = new DLearn(db, spec, idx, params)
-      val teP = learner.coverage.groundAll(learner.builder, tePos.map(identity))
-      val teN = learner.coverage.groundAll(learner.builder, teNeg.map(identity))
+      val teP = learner.coverage.groundAll(learner.builder, task.pos.take(testSize._1))
+      val teN = learner.coverage.groundAll(learner.builder, task.neg.take(testSize._2))
       for ((np, nn) <- sizes) {
-        val trP = allPos.drop(testSize._1).take(np)
-        val trN = allNeg.drop(testSize._2).take(nn)
+        val trP = task.pos.drop(testSize._1).take(np)
+        val trN = task.neg.drop(testSize._2).take(nn)
         val t0  = System.nanoTime()
         val (defn, _) = learner.learn(trP, trN)
         val ms  = (System.nanoTime() - t0) / 1000000

@@ -89,7 +89,7 @@ class BottomSpec extends SparkSpec {
 
   test("ground mode keeps constants everywhere") {
     val c = builder(mkDb(), LearnParams(d = 3)).build(e1, variabilize = false)
-    assert(c.vars.isEmpty)
+    assert((c.head +: c.body).forall(_.vars.isEmpty))
     assert(c.head == Literal("t", Vector(Const("e1"))))
     assert(c.body.contains(Literal("r1", Vector(Const("e1"), Const("alpha beta")))))
   }
@@ -127,17 +127,22 @@ class BottomSpec extends SparkSpec {
     assert(c.body.count(_.pred == "r1b") == 10)
   }
 
+  /** A learner over a database whose r2b violates the FD id2 → tag2. */
+  private def dirtyLearner(useCfdGroups: Boolean): DLearn =
+    new DLearn(mkDb(r2b = Seq(("f1", "blue"), ("f1", "green"))), spec,
+      idx(("alpha beta", "alpha beta x")), LearnParams(d = 3, useCfdGroups = useCfdGroups))
+
   test("CFD violations among collected tuples become groups") {
-    val db = mkDb(r2b = Seq(("f1", "blue"), ("f1", "green")))
-    val c  = builder(db, LearnParams(d = 3, useCfdGroups = true)).build(e1, variabilize = true)
-    assert(c.groups.size == 1)
-    assert(c.groups.head.cfdId == 0)
+    val l = dirtyLearner(useCfdGroups = true)
+    val c = l.builder.build(e1, variabilize = true)
+    assert(Expand.detectGroups(c.body, spec.cfds, schema).map(_.cfdId) == Vector(0))
+    assert(l.coverage.expand(c).size >= 2)
   }
 
   test("groups are off when useCfdGroups is false") {
-    val db = mkDb(r2b = Seq(("f1", "blue"), ("f1", "green")))
-    val c  = builder(db, LearnParams(d = 3, useCfdGroups = false)).build(e1, variabilize = true)
-    assert(c.groups.isEmpty)
+    val l = dirtyLearner(useCfdGroups = false)
+    val c = l.builder.build(e1, variabilize = true)
+    assert(l.coverage.expand(c) == Vector(c))
   }
 
   test("construction is deterministic") {
@@ -164,7 +169,6 @@ class BottomSpec extends SparkSpec {
     val c = Clause(
       Literal("t", Vector(x)),
       Vector(Literal("r1", Vector(x, y)), Literal.sim(y, z), Literal("r1b", Vector(x, z))),
-      Vector.empty,
     )
     assert(!Subsume.subsumes(c, new GIndex(g)))
     assert(Subsume.subsumes(c.copy(body = c.body.filterNot(_.isSim)), new GIndex(g)))

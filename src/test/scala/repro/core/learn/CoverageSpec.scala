@@ -15,12 +15,11 @@ class CoverageSpec extends AnyFunSuite {
   private val cov    = new Coverage(cfds, schema, LearnParams())
 
   /** Clause: t(x) :- rating(x, R). */
-  private val cR = Clause(Literal("t", Vector(x)), Vector(Literal("rating", Vector(x, C("R")))), Vector.empty)
+  private val cR = Clause(Literal("t", Vector(x)), Vector(Literal("rating", Vector(x, C("R")))))
 
   private def groundEx(key: String, ratings: String*): GroundEx = {
     val lits = ratings.map(r => Literal("rating", Vector(C(key), C(r)))).toVector
-    val g = Clause(Literal("t", Vector(C(key))), lits, Expand.detectGroups(lits, cfds, schema))
-    cov.groundFrom(Example("t", Vector(key), positive = true), g)
+    cov.groundFrom(Example("t", Vector(key), positive = true), Clause(Literal("t", Vector(C(key))), lits))
   }
 
   test("clean ground clause: positive and negative semantics agree") {
@@ -54,7 +53,7 @@ class CoverageSpec extends AnyFunSuite {
       Literal("rating", Vector(x, C("R"))),
       Literal("rating", Vector(x, C("PG"))),
     )
-    val cBoth = Clause(Literal("t", Vector(x)), both, Expand.detectGroups(both, cfds, schema))
+    val cBoth = Clause(Literal("t", Vector(x)), both)
     val exp   = cov.expand(cBoth)
     assert(exp.size >= 2)
     // Clean positive rated R: the PG-repair of the clause cannot subsume it.
@@ -68,7 +67,7 @@ class CoverageSpec extends AnyFunSuite {
       Literal("rating", Vector(x, C("R"))),
       Literal("rating", Vector(x, C("PG"))),
     )
-    val cBoth = Clause(Literal("t", Vector(x)), both, Expand.detectGroups(both, cfds, schema))
+    val cBoth = Clause(Literal("t", Vector(x)), both)
     // Ground clause also dirty with both values: each clause-repair finds its
     // ground-repair (R→R, PG→PG).
     assert(cov.coversPos(cov.expand(cBoth), groundEx("e", "R", "PG")))
@@ -95,7 +94,7 @@ class CoverageSpec extends AnyFunSuite {
       Literal("rating", Vector(x, C("R"))),
       Literal("rating", Vector(x, C("PG"))),
     )
-    val cBoth = Clause(Literal("t", Vector(x)), both, Expand.detectGroups(both, cfds, schema))
+    val cBoth = Clause(Literal("t", Vector(x)), both)
     val g     = Vector(groundEx("e", "R"))
     // Covered under ∃∃ (Def. 3.6) but not under ∀∃ (Def. 3.4), whichever
     // sense is decided first.
@@ -105,12 +104,6 @@ class CoverageSpec extends AnyFunSuite {
     val posFirst = new CoverageRecord(cov, cBoth, g, g)
     assert(posFirst.uncoveredPos(Vector(0)) == Vector(0))
     assert(posFirst.counts(Vector(0), Vector(0)) == ((0, 1)))
-  }
-
-  test("coveredPos returns per-example flags in order") {
-    val pos = Vector(groundEx("p1", "R"), groundEx("p2", "G"))
-    val cExp = cov.expand(cR)
-    assert(pos.map(cov.coversPos(cExp, _)) == Vector(true, false))
   }
 
   test("Par.map preserves order and arity") {

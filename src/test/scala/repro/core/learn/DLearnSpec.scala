@@ -110,9 +110,9 @@ class DLearnSpec extends SparkSpec {
   test("predicts matches evaluate semantics") {
     val learner   = new DLearn(db, spec, simIndex, params)
     val (defn, _) = learner.learn(posEx, negEx)
-    val g  = learner.coverage.ground(learner.builder, posEx.head)
-    val gN = learner.coverage.ground(learner.builder, negEx.head)
-    assert(Eval.evaluate(learner, defn, Vector(g), Vector(gN)) == Metrics(tp = 1, fp = 0, fn = 0))
+    def ground(e: Example) = learner.coverage.groundFrom(e, learner.builder.build(e, variabilize = false))
+    assert(Eval.evaluate(learner, defn, Vector(ground(posEx.head)), Vector(ground(negEx.head))) ==
+      Metrics(tp = 1, fp = 0, fn = 0))
   }
 
   test("pre-grounded learning matches self-grounded learning") {

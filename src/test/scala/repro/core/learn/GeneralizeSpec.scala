@@ -1,13 +1,18 @@
 package repro.core.learn
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.constraints.CFD
+import repro.core.db.{RelSpec, Schema}
 import repro.core.logic._
 
 class GeneralizeSpec extends AnyFunSuite {
   private val x = Var("x"); private val y = Var("y"); private val z = Var("z")
   private def C(v: String): Const = Const(v)
+  /** s(k, v) under the FD k → v, for the CFD-violation tests. */
+  private val schema = Schema(Vector(RelSpec("s", Vector("k", "v"), Set("v"))))
+  private val sFd    = Vector(CFD.fd("s", Vector("k"), "v"))
   private def gi(head: Literal, body: Literal*): GIndex =
-    new GIndex(Clause(head, body.toVector, Vector.empty))
+    new GIndex(Clause(head, body.toVector))
 
   // Paper Example 4.7: generalizing the Superbad bottom clause to cover
   // Zoolander drops the mov2releasedate literal.
@@ -19,7 +24,6 @@ class GeneralizeSpec extends AnyFunSuite {
         Literal("mov2genres", Vector(y, C("comedy"))),
         Literal("mov2releasedate", Vector(y, C("August"))),
       ),
-      Vector.empty,
     )
     val g = gi(
       Literal("hg", Vector(C("Zoolander"))),
@@ -35,7 +39,6 @@ class GeneralizeSpec extends AnyFunSuite {
     val c = Clause(
       Literal("t", Vector(x)),
       Vector(Literal("r", Vector(x, y)), Literal("s", Vector(y, C("a"))), Literal("q", Vector(y))),
-      Vector.empty,
     )
     val g = gi(
       Literal("t", Vector(C("e"))),
@@ -51,7 +54,6 @@ class GeneralizeSpec extends AnyFunSuite {
     val c = Clause(
       Literal("t", Vector(x)),
       Vector(Literal("r", Vector(x, y)), Literal("s", Vector(y, C("a")))),
-      Vector.empty,
     )
     val g = gi(Literal("t", Vector(C("e"))), Literal("r", Vector(C("e"), C("k"))))
     val r = Generalize.armg(c, g)
@@ -73,7 +75,6 @@ class GeneralizeSpec extends AnyFunSuite {
         Literal("s", Vector(y, z)),   // bridge to z
         Literal("q", Vector(z)),
       ),
-      Vector.empty,
     )
     // target has r but no s: s is blocking; q must fall away with it
     val g = gi(
@@ -89,7 +90,6 @@ class GeneralizeSpec extends AnyFunSuite {
     val c = Clause(
       Literal("t", Vector(x)),
       Vector(Literal("r", Vector(x, y)), Literal.sim(y, z), Literal("s", Vector(z, C("tag")))),
-      Vector.empty,
     )
     val g = gi(
       Literal("t", Vector(C("e"))),
@@ -106,7 +106,6 @@ class GeneralizeSpec extends AnyFunSuite {
     val c = Clause(
       Literal("t", Vector(x)),
       Vector(Literal("r", Vector(x, y)), Literal.sim(y, z), Literal("s", Vector(z, C("tag")))),
-      Vector.empty,
     )
     val g = gi(
       Literal("t", Vector(C("e"))),
@@ -120,7 +119,7 @@ class GeneralizeSpec extends AnyFunSuite {
   }
 
   test("incompatible head leaves the clause unchanged") {
-    val c = Clause(Literal("t", Vector(C("a"))), Vector(Literal("r", Vector(C("a")))), Vector.empty)
+    val c = Clause(Literal("t", Vector(C("a"))), Vector(Literal("r", Vector(C("a")))))
     val g = gi(Literal("t", Vector(C("b"))), Literal("r", Vector(C("b"))))
     assert(Generalize.armg(c, g) == c)
   }
@@ -131,8 +130,8 @@ class GeneralizeSpec extends AnyFunSuite {
     val c = Clause(
       Literal("t", Vector(x)),
       Vector(Literal("r", Vector(x, y)), l1, l2),
-      Vector(CfdGroup(0, l1, l2)),
     )
+    assert(Expand.detectGroups(c.body, sFd, schema) == Vector(CfdGroup(0, l1, l2)))
     val g = gi(
       Literal("t", Vector(C("e"))),
       Literal("r", Vector(C("e"), C("k"))),
@@ -140,7 +139,7 @@ class GeneralizeSpec extends AnyFunSuite {
     )
     val r = Generalize.armg(c, g)
     assert(r.body.contains(l1) && !r.body.contains(l2))
-    assert(r.groups.isEmpty, "group must vanish with its dropped literal")
+    assert(Expand.detectGroups(r.body, sFd, schema).isEmpty, "group must vanish with its dropped literal")
   }
 
   test("groups on surviving literals are retained") {
@@ -149,7 +148,6 @@ class GeneralizeSpec extends AnyFunSuite {
     val c = Clause(
       Literal("t", Vector(x)),
       Vector(Literal("r", Vector(x, y)), l1, l2),
-      Vector(CfdGroup(0, l1, l2)),
     )
     val g = gi(
       Literal("t", Vector(C("e"))),
@@ -158,14 +156,13 @@ class GeneralizeSpec extends AnyFunSuite {
       Literal("s", Vector(C("k"), C("v2"))),
     )
     val r = Generalize.armg(c, g)
-    assert(r.groups.size == 1)
+    assert(Expand.detectGroups(r.body, sFd, schema) == Vector(CfdGroup(0, l1, l2)))
   }
 
   test("armg over the clause's own ground image is the identity on the body") {
     val c = Clause(
       Literal("t", Vector(x)),
       Vector(Literal("r", Vector(x, y)), Literal("s", Vector(y, C("a")))),
-      Vector.empty,
     )
     val g = gi(
       Literal("t", Vector(C("e"))),
@@ -177,9 +174,9 @@ class GeneralizeSpec extends AnyFunSuite {
 
   test("maxFrontier caps do not break soundness") {
     val lits = (1 to 6).map(i => Literal("r", Vector(x, Var(s"y$i")))).toVector
-    val c    = Clause(Literal("t", Vector(x)), lits, Vector.empty)
+    val c    = Clause(Literal("t", Vector(x)), lits)
     val gB   = (1 to 6).map(i => Literal("r", Vector(C("e"), C(s"k$i")))).toVector
-    val g    = new GIndex(Clause(Literal("t", Vector(C("e"))), gB, Vector.empty))
+    val g    = new GIndex(Clause(Literal("t", Vector(C("e"))), gB))
     val r    = Generalize.armg(c, g, maxFrontier = 2)
     assert(Subsume.subsumes(r, g))
   }

@@ -28,6 +28,6 @@ object ReferenceArmg {
         frontier = ext.toVector
       }
     }
-    Clause(c.head, kept.result(), c.groups).normalized.pruneGroups
+    Clause(c.head, kept.result()).normalized
   }
 }

@@ -5,7 +5,7 @@ import repro.core.logic._
 
 class SubsumeSpec extends AnyFunSuite {
   private val x = Var("x"); private val y = Var("y"); private val z = Var("z")
-  private def c(head: Literal, body: Literal*): Clause = Clause(head, body.toVector, Vector.empty)
+  private def c(head: Literal, body: Literal*): Clause = Clause(head, body.toVector)
   private def gi(cl: Clause): GIndex                   = new GIndex(cl)
   private def C(v: String): Const                      = Const(v)
 
@@ -191,10 +191,10 @@ class SubsumeSpec extends AnyFunSuite {
     val vars = Vector.tabulate(12)(i => Var(s"w$i"))
     val body = vars.sliding(2).map(p => Literal("e", Vector(p(0), p(1)))).toVector :+
       Literal("q", Vector(vars.last))
-    val c1 = Clause(Literal("t", Vector(vars.head)), body, Vector.empty)
+    val c1 = Clause(Literal("t", Vector(vars.head)), body)
     val gBody = (for { i <- 0 until 6; j <- 0 until 6 } yield
       Literal("e", Vector(C(s"n$i"), C(s"n$j")))).toVector
-    val g1 = Clause(Literal("t", Vector(C("n0"))), gBody, Vector.empty)
+    val g1 = Clause(Literal("t", Vector(C("n0"))), gBody)
     assert(!Subsume.subsumes(c1, gi(g1), nodeCap = 500))
   }
 

@@ -19,39 +19,19 @@ class LogicSpec extends AnyFunSuite {
     assert(Literal("r", Vector(a, b)).vars.isEmpty)
   }
 
-  test("subst replaces mapped variables and keeps constants") {
-    val l = Literal("r", Vector(x, a, y))
-    assert(l.subst(Map(x -> b)) == Literal("r", Vector(b, a, y)))
-  }
-
-  test("subst leaves unmapped variables") {
-    val l = Literal("r", Vector(x, y))
-    assert(l.subst(Map(x -> a)) == Literal("r", Vector(a, y)))
-  }
-
-  test("replaceTerm replaces all occurrences of a term") {
-    val l = Literal("r", Vector(x, x, y))
-    assert(l.replaceTerm(x, z) == Literal("r", Vector(z, z, y)))
-  }
-
   test("sim constructor sets the similarity predicate") {
     assert(Literal.sim(x, y).isSim)
     assert(!Literal.sim(x, y).isRel)
     assert(Literal("r", Vector(x)).isRel)
   }
 
-  test("clause vars unions head and body") {
-    val c = Clause(Literal("t", Vector(x)), Vector(Literal("r", Vector(x, y))), Vector.empty)
-    assert(c.vars == Set(x, y))
-  }
-
   test("headConnected true when head vars appear in body") {
-    val c = Clause(Literal("t", Vector(x)), Vector(Literal("r", Vector(x, y))), Vector.empty)
+    val c = Clause(Literal("t", Vector(x)), Vector(Literal("r", Vector(x, y))))
     assert(c.headConnected)
   }
 
   test("headConnected false when a head var is unbound") {
-    val c = Clause(Literal("t", Vector(x, z)), Vector(Literal("r", Vector(x, y))), Vector.empty)
+    val c = Clause(Literal("t", Vector(x, z)), Vector(Literal("r", Vector(x, y))))
     assert(!c.headConnected)
   }
 
@@ -59,7 +39,6 @@ class LogicSpec extends AnyFunSuite {
     val c = Clause(
       Literal("t", Vector(x)),
       Vector(Literal("r", Vector(x, y)), Literal("s", Vector(z))),
-      Vector.empty,
     )
     assert(c.headConnectedBody.body == Vector(Literal("r", Vector(x, y))))
   }
@@ -68,14 +47,13 @@ class LogicSpec extends AnyFunSuite {
     val c = Clause(
       Literal("t", Vector(x)),
       Vector(Literal("r", Vector(x, y)), Literal("s", Vector(y, z)), Literal("q", Vector(z))),
-      Vector.empty,
     )
     assert(c.headConnectedBody.body.size == 3)
   }
 
   test("headConnectedBody preserves body order") {
     val l1 = Literal("r", Vector(x, y)); val l2 = Literal("s", Vector(y))
-    val c  = Clause(Literal("t", Vector(x)), Vector(l1, l2), Vector.empty)
+    val c  = Clause(Literal("t", Vector(x)), Vector(l1, l2))
     assert(c.headConnectedBody.body == Vector(l1, l2))
   }
 
@@ -83,7 +61,6 @@ class LogicSpec extends AnyFunSuite {
     val c = Clause(
       Literal("t", Vector(x)),
       Vector(Literal("r", Vector(x, y)), Literal.sim(y, z), Literal("s", Vector(z))),
-      Vector.empty,
     )
     assert(c.headConnectedBody.body.size == 3)
   }
@@ -92,7 +69,6 @@ class LogicSpec extends AnyFunSuite {
     val c = Clause(
       Literal("t", Vector(x)),
       Vector(Literal("r", Vector(x)), Literal.sim(y, z)),
-      Vector.empty,
     )
     assert(c.dropDanglingBuiltins.body == Vector(Literal("r", Vector(x))))
   }
@@ -101,7 +77,6 @@ class LogicSpec extends AnyFunSuite {
     val c = Clause(
       Literal("t", Vector(x)),
       Vector(Literal("r", Vector(x, y)), Literal("s", Vector(z)), Literal.sim(y, z)),
-      Vector.empty,
     )
     assert(c.dropDanglingBuiltins.body.size == 3)
   }
@@ -111,7 +86,6 @@ class LogicSpec extends AnyFunSuite {
     val stable = Clause(
       Literal("t", Vector(x)),
       Vector(Literal("r", Vector(x, y)), Literal.sim(y, z), Literal("s", Vector(z))),
-      Vector.empty,
     )
     assert(stable.normalized == stable)
     // Disconnected pair q(w)+sim(w,u) must vanish entirely.
@@ -119,41 +93,18 @@ class LogicSpec extends AnyFunSuite {
     val dirty = Clause(
       Literal("t", Vector(x)),
       Vector(Literal("r", Vector(x, y)), Literal("q", Vector(w)), Literal.sim(u, w)),
-      Vector.empty,
     )
     assert(dirty.normalized.body == Vector(Literal("r", Vector(x, y))))
   }
 
-  test("liveGroups keeps only groups whose literals remain") {
+  test("render shows head and body") {
     val l1 = Literal("r", Vector(x, a)); val l2 = Literal("r", Vector(x, b))
-    val g  = CfdGroup(0, l1, l2)
-    val c  = Clause(Literal("t", Vector(x)), Vector(l1, l2), Vector(g))
-    assert(c.liveGroups == Vector(g))
-    assert(c.withBody(Vector(l1)).groups.isEmpty)
-  }
-
-  test("withBody prunes dead groups") {
-    val l1 = Literal("r", Vector(x, a)); val l2 = Literal("r", Vector(x, b))
-    val c  = Clause(Literal("t", Vector(x)), Vector(l1, l2), Vector(CfdGroup(0, l1, l2)))
-    assert(c.withBody(Vector(l2)).groups.isEmpty)
-    assert(c.withBody(Vector(l1, l2)).groups.size == 1)
-  }
-
-  test("self-group (constant-RHS single literal violation) stays live") {
-    val l = Literal("r", Vector(x, a))
-    val c = Clause(Literal("t", Vector(x)), Vector(l), Vector(CfdGroup(0, l, l)))
-    assert(c.liveGroups.size == 1)
-  }
-
-  test("render shows head, body and group count") {
-    val l1 = Literal("r", Vector(x, a)); val l2 = Literal("r", Vector(x, b))
-    val c  = Clause(Literal("t", Vector(x)), Vector(l1, l2), Vector(CfdGroup(0, l1, l2)))
-    assert(c.render.contains(":-"))
-    assert(c.render.contains("1 cfd group"))
+    val c  = Clause(Literal("t", Vector(x)), Vector(l1, l2))
+    assert(c.render == "t(x) :- r(x, \"a\"), r(x, \"b\")")
   }
 
   test("definition renders one clause per line") {
-    val c = Clause(Literal("t", Vector(x)), Vector(Literal("r", Vector(x))), Vector.empty)
+    val c = Clause(Literal("t", Vector(x)), Vector(Literal("r", Vector(x))))
     val d = Definition(Vector(c, c))
     assert(d.render.split("\n").length == 2)
     assert(!d.isEmpty)
@@ -162,7 +113,7 @@ class LogicSpec extends AnyFunSuite {
 
   test("ground literal is kept by headConnectedBody") {
     val g = Literal("r", Vector(a, b))
-    val c = Clause(Literal("t", Vector(x)), Vector(Literal("s", Vector(x)), g), Vector.empty)
+    val c = Clause(Literal("t", Vector(x)), Vector(Literal("s", Vector(x)), g))
     assert(c.headConnectedBody.body.contains(g))
   }
 }
