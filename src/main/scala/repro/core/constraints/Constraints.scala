@@ -13,7 +13,7 @@ import repro.core.logic.{Const, Literal, Term}
   * yields a similarity literal whose repaired semantics is unification
   * (DESIGN.md §7.1).
   */
-final case class MD(pairs: Vector[(AttrRef, AttrRef)]) extends Serializable {
+final case class MD(pairs: Vector[(AttrRef, AttrRef)]) {
   require(pairs.nonEmpty, "MD needs at least one attribute pair")
 }
 
@@ -35,35 +35,49 @@ final case class CFD(
     rhs: String,
     lhsPattern: Vector[Option[String]],
     rhsPattern: Option[String],
-) extends Serializable {
+) {
   require(lhsPattern.length == lhs.length, "one pattern entry per LHS attribute")
 
   def lhsIdx(spec: RelSpec): Vector[Int] = lhs.map(spec.attrIdx)
   def rhsIdx(spec: RelSpec): Int         = spec.attrIdx(rhs)
 
+  /** Tuple `t` (in `spec`'s attribute order) falls under the LHS pattern:
+    * its LHS values are non-null and equal the pattern's constants.
+    */
+  def lhsMatches(spec: RelSpec, t: Array[String]): Boolean =
+    lhsIdx(spec).lazyZip(lhsPattern).forall((i, p) => t(i) != null && p.forall(_ == t(i)))
+
+  /** An RHS value satisfies the RHS pattern: the wildcard admits any, a constant only itself. */
+  def rhsMatches(v: String): Boolean = rhsPattern.forall(_ == v)
+
+  // A term matches a pattern entry by value; a variable matches only the
+  // wildcard (conservative: unknown values are not reported as violations).
+  private def termMatches(t: Term, pat: Option[String]): Boolean = (t, pat) match {
+    case (_, None)           => true
+    case (Const(v), Some(c)) => v == c
+    case _                   => false
+  }
+
   /** Violation test lifted to clause literals of this relation. Terms are
-    * "equal" when syntactically identical; a constant matches a constant
-    * pattern by value; a variable can only be asserted to match the wildcard
-    * pattern (conservative: unknown values are not reported as violations).
+    * "equal" when syntactically identical and match patterns by `termMatches`.
     */
   def violatesLits(spec: RelSpec, l1: Literal, l2: Literal): Boolean = {
     if (l1.pred != rel || l2.pred != rel || l1 == l2) return false
-    val li = lhsIdx(spec)
-    def termMatches(t: Term, pat: Option[String]): Boolean = (t, pat) match {
-      case (_, None)                => true
-      case (Const(v), Some(c))      => v == c
-      case _                        => false // variable vs constant pattern: unknown
-    }
-    val sameLhs = li.indices.forall { k =>
-      val i = li(k)
-      l1.args(i) == l2.args(i) && termMatches(l1.args(i), lhsPattern(k))
-    }
-    if (!sameLhs) false
-    else {
-      val r = rhsIdx(spec)
-      !(l1.args(r) == l2.args(r) && termMatches(l1.args(r), rhsPattern))
-    }
+    val r = rhsIdx(spec)
+    lhsIdx(spec).lazyZip(lhsPattern).forall((i, p) => l1.args(i) == l2.args(i) && termMatches(l1.args(i), p)) &&
+    !(l1.args(r) == l2.args(r) && termMatches(l1.args(r), rhsPattern))
   }
+
+  /** One literal violating a constant RHS pattern on its own (`violatesLits`
+    * excludes `l1 == l2`): its LHS matches and its RHS is another constant.
+    */
+  def violatesSelf(spec: RelSpec, l: Literal): Boolean =
+    l.pred == rel && rhsPattern.isDefined &&
+    lhsIdx(spec).lazyZip(lhsPattern).forall((i, p) => termMatches(l.args(i), p)) &&
+    (l.args(rhsIdx(spec)) match {
+      case Const(v) => !rhsMatches(v)
+      case _        => false
+    })
 }
 
 object CFD {

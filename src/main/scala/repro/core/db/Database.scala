@@ -3,7 +3,7 @@ package repro.core.db
 import org.apache.spark.sql.DataFrame
 
 /** A (relation, attribute) coordinate in a schema. */
-final case class AttrRef(rel: String, attr: String) extends Serializable {
+final case class AttrRef(rel: String, attr: String) {
   def key: String = s"$rel.$attr"
 }
 
@@ -17,8 +17,7 @@ final case class AttrRef(rel: String, attr: String) extends Serializable {
   *                   variables during bottom-clause variabilization — the
   *                   mode/type discipline of Castor-style learners.
   */
-final case class RelSpec(name: String, attrs: Vector[String], constAttrs: Set[String])
-    extends Serializable {
+final case class RelSpec(name: String, attrs: Vector[String], constAttrs: Set[String]) {
   require(constAttrs.subsetOf(attrs.toSet), s"unknown constAttrs in $name")
   def arity: Int                 = attrs.length
   def attrIdx(attr: String): Int = {
@@ -30,7 +29,7 @@ final case class RelSpec(name: String, attrs: Vector[String], constAttrs: Set[St
 }
 
 /** Database schema: the set of relation declarations. */
-final case class Schema(rels: Vector[RelSpec]) extends Serializable {
+final case class Schema(rels: Vector[RelSpec]) {
   private val byName: Map[String, RelSpec] = rels.map(r => r.name -> r).toMap
   def apply(name: String): RelSpec =
     byName.getOrElse(name, throw new NoSuchElementException(s"relation $name"))
@@ -44,14 +43,12 @@ final case class Schema(rels: Vector[RelSpec]) extends Serializable {
   *                 joins, e.g. `upc` → `walmart_ids.upc`). These play the role
   *                 of the paper's target-relation join information.
   */
-final case class TargetSpec(name: String, attrs: Vector[String], bindings: Vector[Set[AttrRef]])
-    extends Serializable {
+final case class TargetSpec(name: String, attrs: Vector[String], bindings: Vector[Set[AttrRef]]) {
   def arity: Int = attrs.length
 }
 
 /** A training/test example: a ground target tuple plus its label. */
-final case class Example(pred: String, args: Vector[String], positive: Boolean)
-    extends Serializable {
+final case class Example(pred: String, args: Vector[String], positive: Boolean) {
   def key: String = args.mkString("|")
 }
 
@@ -61,8 +58,7 @@ final case class Example(pred: String, args: Vector[String], positive: Boolean)
   * scaled relations (tens of thousands of tuples) fit comfortably in the
   * driver.
   */
-final class Database(val schema: Schema, val data: Map[String, IndexedSeq[Array[String]]])
-    extends Serializable {
+final class Database(val schema: Schema, val data: Map[String, IndexedSeq[Array[String]]]) {
 
   /** (relation, attribute index) → value → tuple indices. */
   private val index: Map[(String, Int), Map[String, Array[Int]]] = {
@@ -129,7 +125,7 @@ final case class DatasetSpec(
     joinPairs: Vector[(AttrRef, AttrRef)],
     mds: Vector[repro.core.constraints.MD],
     cfds: Vector[repro.core.constraints.CFD],
-) extends Serializable {
+) {
 
   /** Symmetric-closure join graph: where may a constant seen at `ref` be
     * looked up exactly? Self-join of an attribute with itself is implicit for

@@ -22,11 +22,8 @@ final class BottomBuilder(
     spec: DatasetSpec,
     simIndex: SimIndex,
     params: LearnParams,
-) extends Serializable {
-
-  private sealed trait Event
-  private final case class TupleEvent(rel: String, idx: Int)          extends Event
-  private final case class SimEvent(src: String, dst: String)         extends Event
+) {
+  import BottomBuilder._
 
   /** Build the bottom clause for example `e`.
     *
@@ -145,4 +142,11 @@ final class BottomBuilder(
     }
     Clause(head, body.result())
   }
+}
+
+object BottomBuilder {
+  // What the BFS collected, in discovery order: a tuple or a similarity match.
+  private sealed trait Event
+  private final case class TupleEvent(rel: String, idx: Int) extends Event
+  private final case class SimEvent(src: String, dst: String) extends Event
 }

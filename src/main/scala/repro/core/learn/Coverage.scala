@@ -28,7 +28,7 @@ final case class GroundEx(ex: Example, raw: GIndex, expansions: Vector[GIndex], 
   * directly; only CFD repairs are enumerated, those of `cfds`, which is
   * empty for the systems that ignore CFD violations.
   */
-final class Coverage(cfds: Vector[CFD], schema: Schema, params: LearnParams) extends Serializable {
+final class Coverage(cfds: Vector[CFD], schema: Schema, params: LearnParams) {
 
   /** Assemble a [[GroundEx]] from an already-built ground clause. An
     * expansion or union with the ground clause's head and body shares its

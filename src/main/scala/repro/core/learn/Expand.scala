@@ -48,7 +48,7 @@ object Expand {
       val spec = schema(cfd.rel)
       var i = 0
       while (i < lits.length) {
-        if (cfd.rhsPattern.isDefined && violatesSelf(cfd, schema, lits(i)))
+        if (cfd.violatesSelf(spec, lits(i)))
           out += CfdGroup(cfdId, lits(i), lits(i))
         var j = i + 1
         while (j < lits.length) {
@@ -59,26 +59,6 @@ object Expand {
       }
     }
     out.result()
-  }
-
-  // A single-literal constant-RHS violation is its own pair: violatesLits
-  // excludes l1 == l2, so route it through an explicit check.
-  private def violatesSelf(cfd: CFD, schema: Schema, l: Literal): Boolean = {
-    val spec = schema(cfd.rel)
-    val li   = cfd.lhsIdx(spec)
-    val lhsOk = li.indices.forall { k =>
-      (l.args(li(k)), cfd.lhsPattern(k)) match {
-        case (_, None)           => true
-        case (Const(v), Some(c)) => v == c
-        case _                   => false
-      }
-    }
-    lhsOk && cfd.rhsPattern.exists { c =>
-      l.args(cfd.rhsIdx(spec)) match {
-        case Const(v) => v != c
-        case _        => false
-      }
-    }
   }
 
   /** Replace one body literal (first occurrence) with a new literal, then

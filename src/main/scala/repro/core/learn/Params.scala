@@ -1,7 +1,7 @@
 package repro.core.learn
 
 /** How a system may use matching dependencies (paper Sec. 6.1.3). */
-sealed trait MdMode extends Serializable
+sealed trait MdMode
 object MdMode {
   /** Castor-NoMD: no MD information at all. */
   case object NoMd extends MdMode
@@ -27,7 +27,7 @@ final case class LearnParams(
     d: Int = 3,
     mdMode: MdMode = MdMode.SimMd,
     useCfdGroups: Boolean = false,
-) extends Serializable {
+) {
   /** Max literals per relation in a bottom clause (paper fixes 10). */
   val sampleSize: Int = 10
   /** |E^{+s}|: positives sampled per generalization step. */

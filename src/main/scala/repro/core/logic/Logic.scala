@@ -7,7 +7,7 @@ package repro.core.logic
   * literals are the relation names of the schema; one built-in predicate
   * exists: similarity (`Literal.Sim`, from MD matches).
   */
-sealed trait Term extends Serializable {
+sealed trait Term {
   /** Rendering used in clause pretty-printing. */
   def render: String
 }
@@ -29,7 +29,7 @@ final case class Const(value: String) extends Term {
   * @param pred  relation name, or [[Literal.Sim]]
   * @param args  argument terms, arity = relation arity (2 for sim)
   */
-final case class Literal(pred: String, args: Vector[Term]) extends Serializable {
+final case class Literal(pred: String, args: Vector[Term]) {
   def isSim: Boolean = pred == Literal.Sim
   /** True for literals over schema relations (not the built-in). */
   def isRel: Boolean = !isSim
@@ -54,12 +54,12 @@ object Literal {
   * CFD repair literals: they are a function of its body and the CFDs
   * (paper Sec. 3.2), which `Expand` computes where coverage needs them.
   */
-final case class Clause(head: Literal, body: Vector[Literal]) extends Serializable {
+final case class Clause(head: Literal, body: Vector[Literal]) {
 
   /** This clause compiled for θ-subsumption and ARMG, built on first use and
     * shared by every test of the clause.
     */
-  @transient private[core] lazy val compiled: repro.core.learn.CompiledClause =
+  private[core] lazy val compiled: repro.core.learn.CompiledClause =
     new repro.core.learn.CompiledClause(this)
 
   /** All head variables appear in some body literal — required for a clause
@@ -122,7 +122,7 @@ final case class Clause(head: Literal, body: Vector[Literal]) extends Serializab
 }
 
 /** A learned definition: a set of clauses with the same head predicate. */
-final case class Definition(clauses: Vector[Clause]) extends Serializable {
+final case class Definition(clauses: Vector[Clause]) {
   def isEmpty: Boolean = clauses.isEmpty
   def render: String   = clauses.map(_.render).mkString("\n")
 }

@@ -13,7 +13,7 @@ package repro.core.sim
   *
   * Every score is computed by one kernel, [[Aligner]].
   */
-object Similarity extends Serializable {
+object Similarity {
 
   /** Smith-Waterman-Gotoh local alignment similarity, normalized to [0,1]. */
   def smithWatermanGotoh(a: String, b: String): Double = {

@@ -40,7 +40,7 @@ object Inject {
   def violations(df: DataFrame, rhsCol: String, p: Double, seed: Long, alter: Alter): DataFrame = {
     if (p <= 0) return df
     val alterUdf = udf((v: String, h: Long) => alter(v, h))
-    val hashed = df.withColumn("__h", abs(xxhash64(df.columns.map(col) :+ lit(seed): _*)))
+    val hashed = df.withColumn("__h", abs(xxhash64(df.columns.toIndexedSeq.map(col) :+ lit(seed): _*)))
     val dupes = hashed
       .filter(col("__h") % 10000 < lit((p * 10000).toLong))
       .withColumn(rhsCol, alterUdf(col(rhsCol), col("__h")))

@@ -1,12 +1,18 @@
 package repro.spark
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
-import repro.core.constraints.CFD
+import scala.collection.immutable.ArraySeq
+import scala.collection.mutable
 
-/** Minimal CFD repair of a relation as a Catalyst pipeline — the preprocessing
-  * step of the DLearn-Repaired baseline (paper Sec. 6.1.3: "we obtain this
-  * repair using the minimal repair method").
+import org.apache.spark.sql.catalyst.expressions.Murmur3HashFunction
+import org.apache.spark.sql.types.StringType
+import org.apache.spark.unsafe.types.UTF8String
+import repro.core.constraints.CFD
+import repro.core.db.{Database, RelSpec}
+
+/** Minimal CFD repair of a database — the preprocessing step of the
+  * DLearn-Repaired baseline (paper Sec. 6.1.3: "we obtain this repair using
+  * the minimal repair method"). It runs on the driver, over the collected
+  * relations.
   *
   * For each LHS group matching the pattern, conflicting RHS values are
   * unified to one canonical value: the RHS pattern constant when the CFD has
@@ -14,55 +20,60 @@ import repro.core.constraints.CFD
   * via a hash order — crucially, not necessarily the correct one, which is
   * exactly why the paper's repaired baseline loses accuracy as violations
   * grow). Tuples that become identical are deduplicated (value modification,
-  * never tuple deletion, per paper Sec. 2.3).
+  * never tuple deletion, per paper Sec. 2.3). Tuples keep their input order.
   */
 object Repair {
 
-  private def lhsMatch(cfd: CFD): Column =
-    cfd.lhs.zip(cfd.lhsPattern).map {
-      case (c, Some(v)) => col(c) === lit(v)
-      case (c, None)    => col(c).isNotNull
-    }.reduce(_ && _)
+  /** Spark SQL's `abs(hash(v))`: Murmur3 with seed 42, to which null hashes.
+    * A conflicting group's value with the smallest one is canonical.
+    */
+  private def hashOrder(v: String): Int =
+    math.abs(Murmur3HashFunction.hash(UTF8String.fromString(v), StringType, 42L).toInt)
 
-  /** Repair one CFD on its relation's DataFrame. */
-  def repairOne(df: DataFrame, cfd: CFD): DataFrame = {
-    val groups = df
-      .filter(lhsMatch(cfd))
-      .groupBy(cfd.lhs.map(col): _*)
-      .agg(
-        countDistinct(col(cfd.rhs)).as("__nrhs"),
-        expr(s"min_by(${cfd.rhs}, abs(hash(${cfd.rhs})))").as("__canon"),
-      )
-    val canon: Column = cfd.rhsPattern.map(lit(_)).getOrElse(col("__canon"))
-    val violated: Column = cfd.rhsPattern match {
-      case Some(c) => lhsMatch(cfd) && (col(cfd.rhs) =!= lit(c) || col(cfd.rhs).isNull)
-      case None    => lhsMatch(cfd) && col("__nrhs") > 1
+  /** Repair every CFD over its relation, in rounds: a repair of one CFD may
+    * induce a violation of another (paper Sec. 4.1), so rounds repeat until
+    * one changes nothing, at most three. `db` itself when nothing changes.
+    */
+  def repair(db: Database, cfds: Vector[CFD]): Database = {
+    var data    = db.data
+    var changed = true
+    var round   = 0
+    while (changed && round < 3) {
+      changed = false
+      for (cfd <- cfds; tuples <- data.get(cfd.rel); out <- repairOne(tuples, cfd, db.schema(cfd.rel))) {
+        data = data.updated(cfd.rel, out)
+        changed = true
+      }
+      round += 1
     }
-    df.join(groups, cfd.lhs, "left")
-      .withColumn(cfd.rhs, when(coalesce(violated, lit(false)), canon).otherwise(col(cfd.rhs)))
-      .drop("__nrhs", "__canon")
-      .select(df.columns.map(col): _*)
-      .dropDuplicates()
+    if (data eq db.data) db else new Database(db.schema, data)
   }
 
-  /** Repair all CFDs over a set of relation DataFrames, iterating to a
-    * fixpoint (a repair of one CFD may induce a violation of another over
-    * the same relation — paper Sec. 4.1).
+  /** One CFD over its relation: each violating tuple's RHS rewritten to its
+    * canonical value, then repeated tuples dropped, the first kept. `None`
+    * when that changes nothing.
     */
-  def repairAll(
-      frames: Map[String, DataFrame],
-      cfds: Vector[CFD],
-      maxRounds: Int = 3,
-  ): Map[String, DataFrame] = {
-    var cur = frames
-    for (_ <- 1 to maxRounds) {
-      cur = cfds.foldLeft(cur) { (fs, cfd) =>
-        fs.get(cfd.rel) match {
-          case Some(df) => fs.updated(cfd.rel, repairOne(df, cfd))
-          case None     => fs
+  private def repairOne(tuples: IndexedSeq[Array[String]], cfd: CFD, spec: RelSpec): Option[IndexedSeq[Array[String]]] = {
+    val li = cfd.lhsIdx(spec)
+    val r  = cfd.rhsIdx(spec)
+    // The RHS value a tuple must take, if it violates the CFD.
+    val target: Array[String] => Option[String] = cfd.rhsPattern match {
+      case Some(c) => t => Option.when(cfd.lhsMatches(spec, t) && !cfd.rhsMatches(t(r)))(c)
+      case None =>
+        // a group conflicts when it holds two distinct non-null values
+        val canon = tuples.filter(cfd.lhsMatches(spec, _)).groupMap(t => li.map(t(_)))(_(r)).flatMap { case (k, vs) =>
+          val ds = vs.distinct
+          Option.when(ds.count(_ != null) > 1)(k -> ds.minBy(hashOrder))
         }
-      }
+        t => canon.get(li.map(t(_)))
     }
-    cur
+    val seen = mutable.HashSet.empty[ArraySeq[String]]
+    val out = tuples.iterator.map { t =>
+      target(t) match {
+        case Some(v) if v != t(r) => t.updated(r, v)
+        case _                    => t
+      }
+    }.filter(u => seen.add(ArraySeq.unsafeWrapArray(u))).toVector
+    if (out.corresponds(tuples)(_ eq _)) None else Some(out)
   }
 }

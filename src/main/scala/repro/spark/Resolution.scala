@@ -1,9 +1,7 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core.constraints.MD
-import repro.core.db.AttrRef
+import repro.core.db.Database
 
 /** Castor-Clean preprocessing (paper Sec. 6.1.3): "resolve the
   * heterogeneities between entity names in attributes that appear in an MD by
@@ -19,39 +17,23 @@ import repro.core.db.AttrRef
   */
 object Resolution {
 
-  /** Mapping b → best matching a (single row per b), from the similarity
-    * join and ranking rule of DLearn's index. Inputs are single-column
-    * DataFrames named `a` and `b`, collected to the driver.
+  /** Resolve all MD attribute pairs, in order, on the driver: each second-side
+    * (B) value is replaced in place by its best first-side (A) match under
+    * `SimJoin`'s join and ranking rule at [[SimJoin.DefaultThreshold]]. Each
+    * pair sees the values the pairs before it wrote. Every relation keeps its
+    * tuples and their order; `db` is not modified.
     */
-  def top1Mapping(left: DataFrame, right: DataFrame, threshold: Double): DataFrame = {
-    val spark = left.sparkSession
-    import spark.implicits._
-    val ps = SimJoin.pairs(SimJoin.values(left, "a"), SimJoin.values(right, "b"), threshold)
-    SimJoin.topK(ps, _.b, _.a, 1).toSeq.map { case (b, ms) => (b, ms.head.value) }.toDF("__from", "__to")
-  }
-
-  /** Replace values of `ref`'s column in its relation frame via the mapping. */
-  def replaceValues(df: DataFrame, attr: String, mapping: DataFrame): DataFrame =
-    df.join(mapping, df(attr) === mapping("__from"), "left")
-      .withColumn(attr, coalesce(col("__to"), col(attr)))
-      .drop("__from", "__to")
-
-  /** Resolve all MD attribute pairs over the relation frames: unify each
-    * second-side (B) attribute's values into the first side's (A) vocabulary.
-    */
-  def resolveAll(
-      spark: SparkSession,
-      frames: Map[String, DataFrame],
-      mds: Vector[MD],
-      threshold: Double = SimJoin.DefaultThreshold,
-  ): Map[String, DataFrame] = {
-    var cur = frames
+  def resolve(db: Database, mds: Vector[MD]): Database = {
+    var data = db.data
     for (md <- mds; (refA, refB) <- md.pairs) {
-      val left  = cur(refA.rel).select(col(refA.attr).as("a"))
-      val right = cur(refB.rel).select(col(refB.attr).as("b"))
-      val mapping = top1Mapping(left, right, threshold)
-      cur = cur.updated(refB.rel, replaceValues(cur(refB.rel), refB.attr, mapping))
+      val ia   = db.schema(refA.rel).attrIdx(refA.attr)
+      val ib   = db.schema(refB.rel).attrIdx(refB.attr)
+      val ps   = SimJoin.pairs(data(refA.rel).view.map(_(ia)), data(refB.rel).view.map(_(ib)), SimJoin.DefaultThreshold)
+      val top1 = SimJoin.topK(ps, _.b, _.a, 1)
+      data = data.updated(refB.rel, data(refB.rel).map { t =>
+        top1.get(t(ib)).fold(t)(ms => t.updated(ib, ms.head.value))
+      })
     }
-    cur
+    new Database(db.schema, data)
   }
 }

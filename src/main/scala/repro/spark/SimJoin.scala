@@ -11,14 +11,13 @@ import repro.core.sim.Similarity
 /** A single similarity match: a value of the paired attribute plus its
   * similarity score.
   */
-final case class SimMatch(value: String, score: Double) extends Serializable
+final case class SimMatch(value: String, score: Double)
 
 /** Precomputed top-k_m similarity matches for every MD attribute pair, in
   * both directions (the paper precomputes "the pairs of similar values",
   * Sec. 5; `k_m` is the "number of top similar matches" of Table 4).
   */
-final class SimIndex(private val map: Map[String, Map[String, Vector[SimMatch]]])
-    extends Serializable {
+final class SimIndex(private val map: Map[String, Map[String, Vector[SimMatch]]]) {
 
   def matches(from: AttrRef, to: AttrRef, value: String): Vector[SimMatch] =
     map.get(SimIndex.dirKey(from, to)).flatMap(_.get(value)).getOrElse(Vector.empty)

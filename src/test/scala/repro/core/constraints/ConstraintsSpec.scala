@@ -2,7 +2,7 @@ package repro.core.constraints
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.db.{AttrRef, RelSpec}
-import repro.core.logic.{Const, Literal, Var}
+import repro.core.logic.{Const, Literal, Term, Var}
 
 class ConstraintsSpec extends AnyFunSuite {
   private val loc = RelSpec("mov2locale", Vector("title", "language", "country"), Set("language", "country"))
@@ -122,6 +122,30 @@ class ConstraintsSpec extends AnyFunSuite {
     val l1 = Literal("mov2locale", Vector(Var("x"), Const("e"), Const("USA")))
     val l2 = Literal("mov2locale", Vector(Var("x"), Const("e"), Const("Ireland")))
     assert(!fd.violatesLits(loc, l1, l2))
+  }
+
+  test("lhsMatches: a tuple needs non-null LHS values that equal the pattern constants") {
+    assert(phi1.lhsMatches(loc, Array("Bait", "English", "USA")))
+    assert(phi1.lhsMatches(loc, Array("Bait", "English", null)))
+    assert(!phi1.lhsMatches(loc, Array("Bait", "French", "USA")))
+    assert(!phi1.lhsMatches(loc, Array(null, "English", "USA")))
+    assert(!phi1.lhsMatches(loc, Array("Bait", null, "USA")))
+  }
+
+  test("rhsMatches: the wildcard admits any value, a constant only itself") {
+    val usa = phi1.copy(rhsPattern = Some("USA"))
+    assert(phi1.rhsMatches("Ireland") && phi1.rhsMatches(null))
+    assert(usa.rhsMatches("USA") && !usa.rhsMatches("Ireland") && !usa.rhsMatches(null))
+  }
+
+  test("violatesSelf: one literal violates a constant RHS it contradicts") {
+    val usa = phi1.copy(rhsPattern = Some("USA"))
+    def lit(args: Term*) = Literal("mov2locale", args.toVector)
+    assert(usa.violatesSelf(loc, lit(Var("t"), Const("English"), Const("Ireland"))))
+    assert(!usa.violatesSelf(loc, lit(Var("t"), Const("English"), Const("USA"))))
+    assert(!usa.violatesSelf(loc, lit(Var("t"), Const("French"), Const("Ireland"))), "LHS outside the pattern")
+    assert(!usa.violatesSelf(loc, lit(Var("t"), Const("English"), Var("c"))), "unknown RHS is no violation")
+    assert(!phi1.violatesSelf(loc, lit(Var("t"), Const("English"), Const("Ireland"))), "wildcard RHS")
   }
 
   test("pattern arity mismatch is rejected") {

@@ -1,8 +1,9 @@
 package repro.dirty
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, Violations}
+import repro.{Frames, Oracle, SparkSpec, Violations}
 import repro.core.constraints.CFD
+import repro.core.db.{Database, RelSpec, Schema}
 import repro.spark.Repair
 
 class InjectSpec extends SparkSpec {
@@ -72,8 +73,9 @@ class InjectSpec extends SparkSpec {
   test("minimal repair removes exactly the injected conflicts") {
     val df  = base(400)
     val out = Inject.violations(df, "v", 0.15, seed = 3, Inject.rotate(Vector("p", "q")))
-    val rep = Repair.repairAll(Map("r" -> out), Vector(fd))("r")
-    assert(Violations.count(rep, fd) == 0)
-    assert(rep.count() == df.count(), "repair collapses duplicates back to one tuple per key")
+    val schema = Schema(Vector(RelSpec("r", Vector("id", "v"), Set.empty)))
+    val rep = Repair.repair(Database.fromFrames(schema, Map("r" -> out)), Vector(fd))
+    assert(Violations.count(Frames.of(spark, rep)("r"), fd) == 0)
+    assert(rep.tuples("r").size == df.count(), "repair collapses duplicates back to one tuple per key")
   }
 }

@@ -1,9 +1,9 @@
 package repro.exp
 
 import repro.SparkSpec
-import repro.core.db.Database
+import repro.core.db.{AttrRef, Database}
 import repro.core.learn.{DLearn, Eval, LearnParams, MdMode}
-import repro.spark.SimJoin
+import repro.spark.{Resolution, SimJoin}
 
 /** Integration tests of the experiment harness at tiny scale. */
 class TablesSpec extends SparkSpec {
@@ -55,6 +55,35 @@ class TablesSpec extends SparkSpec {
     val dl = b.dlearn(5)
     assert(dl.f1 > 0.6, s"DLearn must learn the year join, got ${dl.f1}")
     assert(dl.timeMs >= noMd.timeMs, "DLearn pays the similarity-index cost")
+  }
+
+  private lazy val papers0 = Tables.papersTask(spark, ExpScale.tiny, p = 0.0)
+
+  test("Bench: at p = 0 DLearn-Repaired learns DLearn's definition (tiny papers)") {
+    // With nothing to repair, the repaired database is DLearn's, tuple order
+    // included, so the bottom clauses' per-relation samples are the same.
+    val b   = new Bench(spark, papers0)
+    val rep = b.dlearnRepaired(10)
+    val dl  = b.dlearn(10)
+    assert(rep.definitionSample == dl.definitionSample)
+    assert(rep.f1 == dl.f1)
+  }
+
+  test("Resolution keeps each relation's tuples in order and rewrites only MD second sides (tiny papers)") {
+    val b      = new Bench(spark, papers0)
+    val out    = Resolution.resolve(b.db, papers0.spec.mds)
+    val second = papers0.spec.mds.flatMap(_.pairs).map(_._2).toSet
+    var rewritten = 0
+    for (rel <- papers0.spec.schema.rels) {
+      val before = b.db.tuples(rel.name)
+      val after  = out.tuples(rel.name)
+      assert(after.size == before.size, rel.name)
+      for ((x, y) <- before.zip(after); i <- rel.attrs.indices) {
+        if (second(AttrRef(rel.name, rel.attrs(i)))) { if (x(i) != y(i)) rewritten += 1 }
+        else assert(x(i) == y(i), s"${rel.name}.${rel.attrs(i)} must not change")
+      }
+    }
+    assert(rewritten > 0, "the MDs' second sides are resolved")
   }
 
   test("Bench: database is collected once and reused") {
