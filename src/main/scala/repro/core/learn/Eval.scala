@@ -36,7 +36,7 @@ object Eval {
     Vector.tabulate(k)(i => (chunks.patch(i, Nil, 1).flatten, chunks(i)))
   }
 
-  /** Run k-fold CV for one learner configuration. Ground bottom-clauses are
+  /** Run 5-fold CV for one learner configuration. Ground bottom-clauses are
     * built once for all examples (they do not depend on the fold split); the
     * grounding cost is charged to each fold proportionally to its training
     * fraction, since a single run would have to ground its own training set.
@@ -48,8 +48,8 @@ object Eval {
       params: LearnParams,
       pos: Vector[Example],
       neg: Vector[Example],
-      k: Int = 5,
   ): CvResult = {
+    val k       = 5
     val learner = new DLearn(db, spec, simIndex, params)
 
     val tg0  = System.nanoTime()

@@ -19,7 +19,7 @@ object Generalize {
   /** The frontier holds at most `maxFrontier` distinct substitutions: the
     * first ones found, extending the previous frontier in its order.
     */
-  def armg(c: Clause, g: GIndex, maxFrontier: Int = 256): Clause = {
+  def armg(c: Clause, g: GIndex, maxFrontier: Int): Clause = {
     val cc = c.compiled
     val m  = new Matcher(cc, g)
     if (!m.unify(cc.head, g.head)) return c // heads incompatible — cannot generalize toward this example

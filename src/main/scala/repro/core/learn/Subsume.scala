@@ -244,7 +244,7 @@ object Subsume {
   /** Does `c` θ-subsume `g.clause`? Head arguments are unified first. The
     * search gives up, answering false, after `nodeCap` search nodes.
     */
-  def subsumes(c: Clause, g: GIndex, nodeCap: Int = 200000): Boolean = {
+  def subsumes(c: Clause, g: GIndex, nodeCap: Int): Boolean = {
     val cc = c.compiled
     val m  = new Matcher(cc, g)
     if (!m.unify(cc.head, g.head)) return false

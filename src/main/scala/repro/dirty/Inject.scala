@@ -3,6 +3,8 @@ package repro.dirty
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
+import repro.core.constraints.CFD
+
 /** CFD-violation injection (paper Sec. 6.1.2: "we inject each dataset with
   * varying proportions of CFD violations p randomly ... p of 5% means that 5%
   * of tuples in each relation violate at least one CFD").
@@ -10,6 +12,8 @@ import org.apache.spark.sql.functions._
   * For a CFD (X → A) over relation R, a violating tuple is produced by
   * duplicating an existing tuple with a conflicting RHS value, so both the
   * original and the duplicate violate the CFD (same X, different A).
+  * A dataset declares each of its CFDs with the alteration that breaks it,
+  * and [[all]] injects them in that order.
   */
 object Inject {
 
@@ -27,6 +31,9 @@ object Inject {
     * entity name that no longer matches anything by similarity.
     */
   val scramble: Alter = (v, _) => if (v == null) "zzz" else v.reverse
+
+  /** Append a fixed suffix. */
+  def suffix(sfx: String): Alter = (v, _) => v + sfx
 
   /** Bump an integer-valued string by 1..k. */
   def bumpInt(k: Int): Alter = (v, h) =>
@@ -47,4 +54,13 @@ object Inject {
       .drop("__h")
     df.unionByName(dupes)
   }
+
+  /** Inject the `i`-th CFD's violations into its relation with seed
+    * `seed + i`, for every `(CFD, Alter)` pair in order. CFDs over one
+    * relation stack.
+    */
+  def all(frames: Map[String, DataFrame], cfds: Seq[(CFD, Alter)], p: Double, seed: Long): Map[String, DataFrame] =
+    cfds.zipWithIndex.foldLeft(frames) { case (fr, ((cfd, alter), i)) =>
+      fr.updated(cfd.rel, violations(fr(cfd.rel), cfd.rhs, p, seed + i, alter))
+    }
 }

@@ -1,6 +1,6 @@
 package repro.dirty
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 
 import repro.core.constraints.{CFD, MD}
@@ -34,26 +34,25 @@ final case class MovieRow(
   */
 object Movies {
 
-  final case class Config(
-      n: Int = 2000,
-      familyFrac: Double = 0.45,
-      identicalTitleFrac: Double = 0.30,
-      exactNameFrac: Double = 0.55,
-      yearMismatchFrac: Double = 0.10,
-      usaFrac: Double = 0.5,
-      pRUsa: Double = 0.42,
-      pROther: Double = 0.15,
-      seed: Long = 42,
-  )
+  // Generator constants (DESIGN.md §3).
+  private val familyFrac         = 0.45 // share of id triples that are sequel families
+  private val identicalTitleFrac = 0.30 // OMDB title rendered exactly as IMDB's
+  private val exactNameFrac      = 0.55 // each OMDB cast/writer name rendered exactly
+  private val yearMismatchFrac   = 0.10 // OMDB year one later than IMDB's
+  private val usaFrac            = 0.5
+  private val pRUsa              = 0.42 // P(rating R | country usa)
+  private val pROther            = 0.15 // P(rating R | any other country)
 
-  val genres    = Vector("Drama", "Comedy", "Action", "Horror", "SciFi")
-  val ratings   = Vector("G", "PG", "PG13", "R")
-  val countries = Vector("usa", "uk", "france", "spain", "japan", "india")
+  private val ratings   = Vector("G", "PG", "PG13", "R")
+  private val countries = Vector("usa", "uk", "france", "spain", "japan", "india")
 
-  def row(cfg: Config)(id: Long): MovieRow = {
-    val s       = cfg.seed
+  /** Movie `id` of a population of `n` (the cast and writer pools scale
+    * with `n`), generated from `seed`.
+    */
+  def row(n: Int, seed: Long)(id: Long): MovieRow = {
+    val s       = seed
     val groupId = id / 3
-    val inFam   = Rnd.double(s, groupId, 1) < cfg.familyFrac
+    val inFam   = Rnd.double(s, groupId, 1) < familyFrac
     val baseKey = if (inFam) groupId else 1000000L + id
     val w       = Vector.tabulate(3)(k => Words.titleWord(baseKey * 3 + k, s))
     val base    = w.mkString(" ")
@@ -62,33 +61,33 @@ object Movies {
 
     val c = Rnd.double(s, id, 2)
     val titleO =
-      if (c < cfg.identicalTitleFrac) titleI
-      else if (c < cfg.identicalTitleFrac + 0.15) s"$titleI ($year)"
-      else if (c < cfg.identicalTitleFrac + 0.40) {
+      if (c < identicalTitleFrac) titleI
+      else if (c < identicalTitleFrac + 0.15) s"$titleI ($year)"
+      else if (c < identicalTitleFrac + 0.40) {
         // Variant / last word dropped: ambiguous with every sibling — the
         // paper's "Star Wars" phenomenon (top-1 resolution goes wrong here).
         if (inFam) base else w.take(2).mkString(" ")
-      } else if (c < cfg.identicalTitleFrac + 0.55) {
+      } else if (c < identicalTitleFrac + 0.55) {
         (Vector(w(1), w(0), w(2)) ++ (if (inFam) Vector(Words.variant((id % 3).toInt)) else Vector.empty))
           .mkString(" ")
       } else Words.typo(titleI, Rnd.hash(s, id, 4))
 
-    val country = if (Rnd.double(s, id, 5) < cfg.usaFrac) "usa" else countries(1 + Rnd.int(countries.length - 1, s, id, 6))
+    val country = if (Rnd.double(s, id, 5) < usaFrac) "usa" else countries(1 + Rnd.int(countries.length - 1, s, id, 6))
     val g       = Rnd.double(s, id, 7)
     val genre =
       if (g < 0.30) "Drama" else if (g < 0.55) "Comedy" else if (g < 0.75) "Action"
       else if (g < 0.90) "Horror" else "SciFi"
-    val pR     = if (country == "usa") cfg.pRUsa else cfg.pROther
+    val pR     = if (country == "usa") pRUsa else pROther
     val rating = if (Rnd.double(s, id, 8) < pR) "R" else ratings(Rnd.int(3, s, id, 9))
 
-    val nCast    = math.max(4, cfg.n.toInt)
-    val nWriters = math.max(4, (cfg.n * 0.8).toInt)
+    val nCast    = math.max(4, n)
+    val nWriters = math.max(4, (n * 0.8).toInt)
     val cast     = Vector.tabulate(2)(j => Words.person(Rnd.int(nCast, s, id, 40 + j), s))
     val writers  = Vector.tabulate(2)(j => Words.person(100000 + Rnd.int(nWriters, s, id, 50 + j), s))
-    val yearO    = if (Rnd.double(s, id, 12) < cfg.yearMismatchFrac) year + 1 else year
+    val yearO    = if (Rnd.double(s, id, 12) < yearMismatchFrac) year + 1 else year
     def render(names: Seq[String], salt: Int): Seq[String] =
       names.zipWithIndex.map { case (nm, j) =>
-        if (Rnd.double(s, id, salt + j, nm.length.toLong) < cfg.exactNameFrac) nm else Words.abbrevFirst(nm)
+        if (Rnd.double(s, id, salt + j, nm.length.toLong) < exactNameFrac) nm else Words.abbrevFirst(nm)
       }
 
     MovieRow(
@@ -110,50 +109,24 @@ object Movies {
     )
   }
 
-  def rows(spark: SparkSession, cfg: Config): Dataset[MovieRow] = {
-    import spark.implicits._
-    val c = cfg
-    spark.range(c.n.toLong).map(id => row(c)(id))
-  }
-
-  /** The ten relation DataFrames (5 IMDB + 5 OMDB). */
-  def frames(rows: Dataset[MovieRow]): Map[String, DataFrame] = Map(
-    "imdb_movies"       -> rows.select(col("imdbId").as("id"), col("titleImdb").as("title"), col("year").cast("string")),
-    "imdb_mov2genres"   -> rows.select(col("imdbId").as("id"), col("genre")),
-    "imdb_mov2countries" -> rows.select(col("imdbId").as("id"), col("country")),
-    "imdb_mov2cast"     -> rows.select(col("imdbId").as("id"), explode(col("cast")).as("name")),
-    "imdb_mov2writers"  -> rows.select(col("imdbId").as("id"), explode(col("writers")).as("name")),
-    "omdb_movies"       -> rows.select(col("omdbId").as("id"), col("titleOmdb").as("title"), col("yearO").cast("string").as("year")),
-    "omdb_mov2genres"   -> rows.select(col("omdbId").as("id"), col("genre")),
-    "omdb_mov2rating"   -> rows.select(col("omdbId").as("id"), col("rating")),
-    "omdb_mov2cast"     -> rows.select(col("omdbId").as("id"), explode(col("castO")).as("name")),
-    "omdb_mov2writers"  -> rows.select(col("omdbId").as("id"), explode(col("writersO")).as("name")),
+  /** The ten relations (5 IMDB + 5 OMDB). `year` is a join attribute
+    * (variable-mode): a constant inside the key literal would block
+    * literal-dropping generalization of the whole literal.
+    */
+  private val rels: Vector[Rel] = Vector(
+    Rel("imdb_movies", Set.empty, "id" -> col("imdbId"), "title" -> col("titleImdb"), "year" -> col("year").cast("string")),
+    Rel("imdb_mov2genres", Set("genre"), "id" -> col("imdbId"), "genre" -> col("genre")),
+    Rel("imdb_mov2countries", Set("country"), "id" -> col("imdbId"), "country" -> col("country")),
+    Rel("imdb_mov2cast", Set.empty, "id" -> col("imdbId"), "name" -> explode(col("cast"))),
+    Rel("imdb_mov2writers", Set.empty, "id" -> col("imdbId"), "name" -> explode(col("writers"))),
+    Rel("omdb_movies", Set.empty, "id" -> col("omdbId"), "title" -> col("titleOmdb"), "year" -> col("yearO").cast("string")),
+    Rel("omdb_mov2genres", Set("genre"), "id" -> col("omdbId"), "genre" -> col("genre")),
+    Rel("omdb_mov2rating", Set("rating"), "id" -> col("omdbId"), "rating" -> col("rating")),
+    Rel("omdb_mov2cast", Set.empty, "id" -> col("omdbId"), "name" -> explode(col("castO"))),
+    Rel("omdb_mov2writers", Set.empty, "id" -> col("omdbId"), "name" -> explode(col("writersO"))),
   )
-
-  // year is a join attribute (variable-mode): a constant inside the key
-  // literal would block literal-dropping generalization of the whole literal.
-  val schema: Schema = Schema(Vector(
-    RelSpec("imdb_movies", Vector("id", "title", "year"), Set.empty),
-    RelSpec("imdb_mov2genres", Vector("id", "genre"), Set("genre")),
-    RelSpec("imdb_mov2countries", Vector("id", "country"), Set("country")),
-    RelSpec("imdb_mov2cast", Vector("id", "name"), Set.empty),
-    RelSpec("imdb_mov2writers", Vector("id", "name"), Set.empty),
-    RelSpec("omdb_movies", Vector("id", "title", "year"), Set.empty),
-    RelSpec("omdb_mov2genres", Vector("id", "genre"), Set("genre")),
-    RelSpec("omdb_mov2rating", Vector("id", "rating"), Set("rating")),
-    RelSpec("omdb_mov2cast", Vector("id", "name"), Set.empty),
-    RelSpec("omdb_mov2writers", Vector("id", "name"), Set.empty),
-  ))
-
-  private def allPairs(refs: Seq[AttrRef]): Vector[(AttrRef, AttrRef)] =
-    (for { i <- refs.indices; j <- (i + 1) until refs.length } yield (refs(i), refs(j))).toVector
-
-  private val imdbIds =
-    Seq("imdb_movies", "imdb_mov2genres", "imdb_mov2countries", "imdb_mov2cast", "imdb_mov2writers")
-      .map(AttrRef(_, "id"))
-  private val omdbIds =
-    Seq("omdb_movies", "omdb_mov2genres", "omdb_mov2rating", "omdb_mov2cast", "omdb_mov2writers")
-      .map(AttrRef(_, "id"))
+  val schema: Schema = Schema(rels.map(_.spec))
+  def frames(rows: Dataset[MovieRow]): Map[String, DataFrame] = Synthetic.frames(rels, rows)
 
   /** MDs: titles (always); plus cast and writer names in the 3-MD config. */
   def mds(nMds: Int): Vector[MD] = {
@@ -164,20 +137,21 @@ object Movies {
   }
 
   /** 4 CFDs (paper Sec. 6.1.2): key → rating, key → title, key → year,
-    * key → country.
+    * key → country, each with the alteration that injects its violations.
     */
-  val cfds: Vector[CFD] = Vector(
-    CFD.fd("omdb_mov2rating", Vector("id"), "rating"),
-    CFD.fd("omdb_movies", Vector("id"), "title"),
-    CFD.fd("imdb_movies", Vector("id"), "year"),
-    CFD.fd("imdb_mov2countries", Vector("id"), "country"),
+  private val injections: Vector[(CFD, Inject.Alter)] = Vector(
+    CFD.fd("omdb_mov2rating", Vector("id"), "rating")     -> Inject.rotate(ratings),
+    CFD.fd("omdb_movies", Vector("id"), "title")          -> Inject.scramble,
+    CFD.fd("imdb_movies", Vector("id"), "year")           -> Inject.bumpInt(3),
+    CFD.fd("imdb_mov2countries", Vector("id"), "country") -> Inject.rotate(countries),
   )
+  val cfds: Vector[CFD] = injections.map(_._1)
 
   def spec(nMds: Int): DatasetSpec = DatasetSpec(
     name = s"movies-${nMds}md",
     schema = schema,
     target = TargetSpec("dramaRestricted", Vector("id"), Vector(Set(AttrRef("imdb_movies", "id")))),
-    joinPairs = allPairs(imdbIds) ++ allPairs(omdbIds),
+    joinPairs = Synthetic.idJoins(rels, "imdb_", "omdb_"),
     mds = mds(nMds),
     cfds = cfds,
   )
@@ -198,12 +172,6 @@ object Movies {
   }
 
   /** Inject CFD violations at rate `p` (paper Sec. 6.1.2). */
-  def injected(frames: Map[String, DataFrame], p: Double, seed: Long): Map[String, DataFrame] = {
-    if (p <= 0) return frames
-    frames
-      .updated("omdb_mov2rating", Inject.violations(frames("omdb_mov2rating"), "rating", p, seed, Inject.rotate(ratings)))
-      .updated("omdb_movies", Inject.violations(frames("omdb_movies"), "title", p, seed + 1, Inject.scramble))
-      .updated("imdb_movies", Inject.violations(frames("imdb_movies"), "year", p, seed + 2, Inject.bumpInt(3)))
-      .updated("imdb_mov2countries", Inject.violations(frames("imdb_mov2countries"), "country", p, seed + 3, Inject.rotate(countries)))
-  }
+  def injected(frames: Map[String, DataFrame], p: Double, seed: Long): Map[String, DataFrame] =
+    Inject.all(frames, injections, p, seed)
 }

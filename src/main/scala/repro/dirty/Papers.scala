@@ -1,6 +1,6 @@
 package repro.dirty
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 
 import repro.core.constraints.{CFD, MD}
@@ -29,20 +29,20 @@ final case class PaperRow(
   */
 object Papers {
 
-  final case class Config(
-      n: Int = 1800,
-      familyFrac: Double = 0.45,
-      identicalTitleFrac: Double = 0.25,
-      seed: Long = 777,
-  )
+  // Generator constants (DESIGN.md §3).
+  private val familyFrac         = 0.45 // share of id triples that are paper versions
+  private val identicalTitleFrac = 0.25 // Scholar title rendered exactly as DBLP's
 
-  val venueNames: Vector[String] = Vector.tabulate(25)(i => Words.word(4000 + i))
-  val paperVariants              = Vector("revisited", "extended", "part two", "demo")
+  private val venueNames    = Vector.tabulate(25)(i => Words.word(4000 + i))
+  private val paperVariants = Vector("revisited", "extended", "part two", "demo")
 
-  def row(cfg: Config)(id: Long): PaperRow = {
-    val s       = cfg.seed
+  /** Paper `id` of a population of `n` (the author pool scales with `n`),
+    * generated from `seed`.
+    */
+  def row(n: Int, seed: Long)(id: Long): PaperRow = {
+    val s       = seed
     val groupId = id / 3
-    val inFam   = Rnd.double(s, groupId, 1) < cfg.familyFrac
+    val inFam   = Rnd.double(s, groupId, 1) < familyFrac
     val baseKey = if (inFam) groupId else 3000000L + id
     val w       = Vector.tabulate(4)(k => Words.titleWord(baseKey * 4 + k, s))
     val base    = w.mkString(" ")
@@ -50,12 +50,12 @@ object Papers {
 
     val c = Rnd.double(s, id, 2)
     val titleS0 =
-      if (c < cfg.identicalTitleFrac) titleD0
-      else if (c < cfg.identicalTitleFrac + 0.15) s"$titleD0 abstract"
-      else if (c < cfg.identicalTitleFrac + 0.45) {
+      if (c < identicalTitleFrac) titleD0
+      else if (c < identicalTitleFrac + 0.15) s"$titleD0 abstract"
+      else if (c < identicalTitleFrac + 0.45) {
         // Version marker dropped: ambiguous with the paper's other versions.
         if (inFam) base else w.take(3).mkString(" ")
-      } else if (c < cfg.identicalTitleFrac + 0.60)
+      } else if (c < identicalTitleFrac + 0.60)
         (Vector(w(1), w(0), w(2), w(3)) ++ (if (inFam) Vector(paperVariants((id % 3).toInt)) else Vector.empty)).mkString(" ")
       else Words.typo(titleD0, Rnd.hash(s, id, 4))
 
@@ -67,7 +67,7 @@ object Papers {
       else s"$venue conf"
 
     val year    = 1995 + Rnd.int(25, s, id, 7)
-    val nAuth   = math.max(4, (cfg.n * 1.2).toInt)
+    val nAuth   = math.max(4, (n * 1.2).toInt)
     val authors = Vector.tabulate(2 + Rnd.int(2, s, id, 8))(j => Words.person(200000 + Rnd.int(nAuth, s, id, 20 + j), s))
 
     PaperRow(
@@ -84,36 +84,29 @@ object Papers {
     )
   }
 
-  def rows(spark: SparkSession, cfg: Config): Dataset[PaperRow] = {
-    import spark.implicits._
-    val c = cfg
-    spark.range(c.n.toLong).map(id => row(c)(id))
-  }
-
-  def frames(rows: Dataset[PaperRow]): Map[String, DataFrame] = Map(
-    "dblp_paper"      -> rows.select(col("dId").as("id"), col("titleD").as("title"), col("venueD").as("venue"), col("year").cast("string")),
-    "dblp_authors"    -> rows.select(col("dId").as("id"), explode(col("authorsD")).as("author")),
-    "scholar_paper"   -> rows.select(col("gsId").as("id"), col("titleS").as("title"), col("venueS").as("venue")),
-    "scholar_authors" -> rows.select(col("gsId").as("id"), explode(col("authorsS")).as("author")),
+  /** The four relations (2 DBLP + 2 Scholar). */
+  private val rels: Vector[Rel] = Vector(
+    Rel("dblp_paper", Set.empty, "id" -> col("dId"), "title" -> col("titleD"), "venue" -> col("venueD"), "year" -> col("year").cast("string")),
+    Rel("dblp_authors", Set.empty, "id" -> col("dId"), "author" -> explode(col("authorsD"))),
+    Rel("scholar_paper", Set.empty, "id" -> col("gsId"), "title" -> col("titleS"), "venue" -> col("venueS")),
+    Rel("scholar_authors", Set.empty, "id" -> col("gsId"), "author" -> explode(col("authorsS"))),
   )
-
-  val schema: Schema = Schema(Vector(
-    RelSpec("dblp_paper", Vector("id", "title", "venue", "year"), Set.empty),
-    RelSpec("dblp_authors", Vector("id", "author"), Set.empty),
-    RelSpec("scholar_paper", Vector("id", "title", "venue"), Set.empty),
-    RelSpec("scholar_authors", Vector("id", "author"), Set.empty),
-  ))
+  val schema: Schema = Schema(rels.map(_.spec))
+  def frames(rows: Dataset[PaperRow]): Map[String, DataFrame] = Synthetic.frames(rels, rows)
 
   val mds: Vector[MD] = Vector(
     MD(AttrRef("dblp_paper", "title"), AttrRef("scholar_paper", "title")),
     MD(AttrRef("dblp_paper", "venue"), AttrRef("scholar_paper", "venue")),
   )
 
-  /** 2 CFDs (paper Sec. 6.1.2: "id determines title in Google Scholar"). */
-  val cfds: Vector[CFD] = Vector(
-    CFD.fd("scholar_paper", Vector("id"), "title"),
-    CFD.fd("dblp_paper", Vector("id"), "year"),
+  /** 2 CFDs (paper Sec. 6.1.2: "id determines title in Google Scholar"),
+    * each with the alteration that injects its violations.
+    */
+  private val injections: Vector[(CFD, Inject.Alter)] = Vector(
+    CFD.fd("scholar_paper", Vector("id"), "title") -> Inject.scramble,
+    CFD.fd("dblp_paper", Vector("id"), "year")     -> Inject.bumpInt(3),
   )
+  val cfds: Vector[CFD] = injections.map(_._1)
 
   val spec: DatasetSpec = DatasetSpec(
     name = "papers",
@@ -126,10 +119,7 @@ object Papers {
         Set.empty, // year is output-only: bound through the body, never searched
       ),
     ),
-    joinPairs = Vector(
-      (AttrRef("dblp_paper", "id"), AttrRef("dblp_authors", "id")),
-      (AttrRef("scholar_paper", "id"), AttrRef("scholar_authors", "id")),
-    ),
+    joinPairs = Synthetic.idJoins(rels, "dblp_", "scholar_"),
     mds = mds,
     cfds = cfds,
   )
@@ -156,10 +146,6 @@ object Papers {
     )
   }
 
-  def injected(frames: Map[String, DataFrame], p: Double, seed: Long): Map[String, DataFrame] = {
-    if (p <= 0) return frames
-    frames
-      .updated("scholar_paper", Inject.violations(frames("scholar_paper"), "title", p, seed, Inject.scramble))
-      .updated("dblp_paper", Inject.violations(frames("dblp_paper"), "year", p, seed + 1, Inject.bumpInt(3)))
-  }
+  def injected(frames: Map[String, DataFrame], p: Double, seed: Long): Map[String, DataFrame] =
+    Inject.all(frames, injections, p, seed)
 }

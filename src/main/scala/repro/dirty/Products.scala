@@ -1,6 +1,6 @@
 package repro.dirty
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 
 import repro.core.constraints.{CFD, MD}
@@ -31,23 +31,21 @@ final case class ProductRow(
   */
 object Products {
 
-  final case class Config(
-      n: Int = 1500,
-      familyFrac: Double = 0.60,
-      identicalTitleFrac: Double = 0.25,
-      pCA: Double = 0.30,
-      seed: Long = 123,
-  )
+  // Generator constants (DESIGN.md §3).
+  private val familyFrac         = 0.60 // share of id triples that are product lines
+  private val identicalTitleFrac = 0.25 // Amazon title rendered exactly as Walmart's
+  private val pCA                = 0.30 // P(ComputersAccessories) outside the tribeca brand
 
-  val categories = Vector("ComputersAccessories", "Electronics", "HomeAudio", "Cameras", "CellPhones")
-  val groups     = Vector("Electronics - General", "Home", "Photo", "Mobile")
-  val priceBands = Vector("$0-10", "$10-25", "$25-50", "$50-100", "$100+")
-  val variants   = Vector("8 gb", "16 gb", "32 gb", "64 gb")
+  private val categories = Vector("ComputersAccessories", "Electronics", "HomeAudio", "Cameras", "CellPhones")
+  private val groups     = Vector("Electronics - General", "Home", "Photo", "Mobile")
+  private val priceBands = Vector("$0-10", "$10-25", "$25-50", "$50-100", "$100+")
+  private val variants   = Vector("8 gb", "16 gb", "32 gb", "64 gb")
 
-  def row(cfg: Config)(id: Long): ProductRow = {
-    val s       = cfg.seed
+  /** Product `id`, generated from `seed`. */
+  def row(seed: Long)(id: Long): ProductRow = {
+    val s       = seed
     val groupId = id / 3
-    val inFam   = Rnd.double(s, groupId, 1) < cfg.familyFrac
+    val inFam   = Rnd.double(s, groupId, 1) < familyFrac
     val baseKey = if (inFam) groupId else 2000000L + id
     val w       = Vector.tabulate(3)(k => Words.titleWord(baseKey * 3 + k, s))
     val base    = w.mkString(" ")
@@ -55,13 +53,13 @@ object Products {
 
     val c = Rnd.double(s, id, 2)
     val titleA0 =
-      if (c < cfg.identicalTitleFrac) titleW0
-      else if (c < cfg.identicalTitleFrac + 0.15) s"$titleW0 new"
-      else if (c < cfg.identicalTitleFrac + 0.50) {
+      if (c < identicalTitleFrac) titleW0
+      else if (c < identicalTitleFrac + 0.15) s"$titleW0 new"
+      else if (c < identicalTitleFrac + 0.50) {
         // Capacity variant dropped: ambiguous with every product-line sibling
         // (top-1 resolution commits to an arbitrary one).
         if (inFam) base else w.take(2).mkString(" ")
-      } else if (c < cfg.identicalTitleFrac + 0.60)
+      } else if (c < identicalTitleFrac + 0.60)
         (Vector(w(1), w(0), w(2)) ++ (if (inFam) Vector(variants((id % 3).toInt)) else Vector.empty)).mkString(" ")
       else Words.typo(titleW0, Rnd.hash(s, id, 4))
 
@@ -70,7 +68,7 @@ object Products {
     val brand     = if (tribeca) "tribeca" else brandPool(Rnd.int(brandPool.length, s, id, 6))
     val category =
       if (tribeca) "ComputersAccessories"
-      else if (Rnd.double(s, id, 7) < cfg.pCA) "ComputersAccessories"
+      else if (Rnd.double(s, id, 7) < pCA) "ComputersAccessories"
       else categories(1 + Rnd.int(categories.length - 1, s, id, 8))
     // Noisy coarse proxy: CA products are usually "Electronics - General",
     // but so are many Electronics products.
@@ -94,66 +92,48 @@ object Products {
     )
   }
 
-  def rows(spark: SparkSession, cfg: Config): Dataset[ProductRow] = {
-    import spark.implicits._
-    val c = cfg
-    spark.range(c.n.toLong).map(id => row(c)(id))
-  }
-
-  def frames(rows: Dataset[ProductRow]): Map[String, DataFrame] = Map(
-    "walmart_ids"       -> rows.select(col("wId").as("id"), col("brand"), col("upc")),
-    "walmart_brand"     -> rows.select(col("wId").as("id"), col("brand")),
-    "walmart_title"     -> rows.select(col("wId").as("id"), col("titleW").as("title")),
-    "walmart_groupname" -> rows.select(col("wId").as("id"), col("group")),
-    "walmart_price"     -> rows.select(col("wId").as("id"), col("price")),
-    "amazon_title"      -> rows.select(col("aId").as("id"), col("titleA").as("title")),
-    "amazon_category"   -> rows.select(col("aId").as("id"), col("category")),
-    "amazon_listprice"  -> rows.select(col("aId").as("id"), col("price")),
-    "amazon_brand"      -> rows.select(col("aId").as("id"), col("brand")),
-  )
-
-  // brand is a *join* attribute in walmart_ids (the paper's learned clause
-  // binds it as a variable) and a *value* attribute in walmart_brand (the
-  // paper's Tribeca clause uses that relation) — embedding a constant in the
-  // key literal would make it un-generalizable by literal dropping.
-  val schema: Schema = Schema(Vector(
-    RelSpec("walmart_ids", Vector("id", "brand", "upc"), Set.empty),
-    RelSpec("walmart_brand", Vector("id", "brand"), Set("brand")),
-    RelSpec("walmart_title", Vector("id", "title"), Set.empty),
-    RelSpec("walmart_groupname", Vector("id", "group"), Set("group")),
-    RelSpec("walmart_price", Vector("id", "price"), Set("price")),
-    RelSpec("amazon_title", Vector("id", "title"), Set.empty),
-    RelSpec("amazon_category", Vector("id", "category"), Set("category")),
-    RelSpec("amazon_listprice", Vector("id", "price"), Set("price")),
+  /** The nine relations (5 Walmart + 4 Amazon). `brand` is a *join*
+    * attribute in walmart_ids (the paper's learned clause binds it as a
+    * variable) and a *value* attribute in walmart_brand (the paper's Tribeca
+    * clause uses that relation) — embedding a constant in the key literal
+    * would make it un-generalizable by literal dropping.
+    */
+  private val rels: Vector[Rel] = Vector(
+    Rel("walmart_ids", Set.empty, "id" -> col("wId"), "brand" -> col("brand"), "upc" -> col("upc")),
+    Rel("walmart_brand", Set("brand"), "id" -> col("wId"), "brand" -> col("brand")),
+    Rel("walmart_title", Set.empty, "id" -> col("wId"), "title" -> col("titleW")),
+    Rel("walmart_groupname", Set("group"), "id" -> col("wId"), "group" -> col("group")),
+    Rel("walmart_price", Set("price"), "id" -> col("wId"), "price" -> col("price")),
+    Rel("amazon_title", Set.empty, "id" -> col("aId"), "title" -> col("titleA")),
+    Rel("amazon_category", Set("category"), "id" -> col("aId"), "category" -> col("category")),
+    Rel("amazon_listprice", Set("price"), "id" -> col("aId"), "price" -> col("price")),
     // brand is a join attribute here: the cross-database brand equality is
     // the precision anchor that rules out same-line siblings.
-    RelSpec("amazon_brand", Vector("id", "brand"), Set.empty),
-  ))
-
-  private def allPairs(refs: Seq[AttrRef]): Vector[(AttrRef, AttrRef)] =
-    (for { i <- refs.indices; j <- (i + 1) until refs.length } yield (refs(i), refs(j))).toVector
-
-  private val wIds =
-    Seq("walmart_ids", "walmart_brand", "walmart_title", "walmart_groupname", "walmart_price").map(AttrRef(_, "id"))
-  private val aIds = Seq("amazon_title", "amazon_category", "amazon_listprice", "amazon_brand").map(AttrRef(_, "id"))
+    Rel("amazon_brand", Set.empty, "id" -> col("aId"), "brand" -> col("brand")),
+  )
+  val schema: Schema = Schema(rels.map(_.spec))
+  def frames(rows: Dataset[ProductRow]): Map[String, DataFrame] = Synthetic.frames(rels, rows)
 
   val mds: Vector[MD] = Vector(MD(AttrRef("walmart_title", "title"), AttrRef("amazon_title", "title")))
 
-  /** 6 CFDs (paper Sec. 6.1.2). */
-  val cfds: Vector[CFD] = Vector(
-    CFD.fd("walmart_ids", Vector("id"), "upc"),
-    CFD.fd("walmart_title", Vector("id"), "title"),
-    CFD.fd("walmart_groupname", Vector("id"), "group"),
-    CFD.fd("amazon_category", Vector("id"), "category"),
-    CFD.fd("amazon_listprice", Vector("id"), "price"),
-    CFD.fd("amazon_brand", Vector("id"), "brand"),
+  /** 6 CFDs (paper Sec. 6.1.2), each with the alteration that injects its
+    * violations.
+    */
+  private val injections: Vector[(CFD, Inject.Alter)] = Vector(
+    CFD.fd("walmart_ids", Vector("id"), "upc")          -> Inject.suffix("x"),
+    CFD.fd("walmart_title", Vector("id"), "title")      -> Inject.scramble,
+    CFD.fd("walmart_groupname", Vector("id"), "group")  -> Inject.rotate(groups),
+    CFD.fd("amazon_category", Vector("id"), "category") -> Inject.rotate(categories),
+    CFD.fd("amazon_listprice", Vector("id"), "price")   -> Inject.rotate(priceBands),
+    CFD.fd("amazon_brand", Vector("id"), "brand")       -> Inject.suffix("co"),
   )
+  val cfds: Vector[CFD] = injections.map(_._1)
 
   val spec: DatasetSpec = DatasetSpec(
     name = "products",
     schema = schema,
     target = TargetSpec("upcOfComputersAccessories", Vector("upc"), Vector(Set(AttrRef("walmart_ids", "upc")))),
-    joinPairs = allPairs(wIds) ++ allPairs(aIds),
+    joinPairs = Synthetic.idJoins(rels, "walmart_", "amazon_"),
     mds = mds,
     cfds = cfds,
   )
@@ -170,14 +150,6 @@ object Products {
     )
   }
 
-  def injected(frames: Map[String, DataFrame], p: Double, seed: Long): Map[String, DataFrame] = {
-    if (p <= 0) return frames
-    frames
-      .updated("walmart_ids", Inject.violations(frames("walmart_ids"), "upc", p, seed, (v, _) => v + "x"))
-      .updated("walmart_title", Inject.violations(frames("walmart_title"), "title", p, seed + 1, Inject.scramble))
-      .updated("walmart_groupname", Inject.violations(frames("walmart_groupname"), "group", p, seed + 2, Inject.rotate(groups)))
-      .updated("amazon_category", Inject.violations(frames("amazon_category"), "category", p, seed + 3, Inject.rotate(categories)))
-      .updated("amazon_listprice", Inject.violations(frames("amazon_listprice"), "price", p, seed + 4, Inject.rotate(priceBands)))
-      .updated("amazon_brand", Inject.violations(frames("amazon_brand"), "brand", p, seed + 5, (v, _) => v + "co"))
-  }
+  def injected(frames: Map[String, DataFrame], p: Double, seed: Long): Map[String, DataFrame] =
+    Inject.all(frames, injections, p, seed)
 }

@@ -2,10 +2,8 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 
-import repro.core.db.Database
 import repro.core.learn._
-import repro.dirty.{Movies, Papers, Products}
-import repro.spark.SimJoin
+import repro.dirty.{Movies, Papers, Products, Synthetic}
 
 /** Experiment sizes. `bench` approximates the paper's example counts at a
   * reduced database scale; `tiny` keeps unit/integration tests fast.
@@ -56,8 +54,7 @@ object Tables {
 
   def moviesTask(spark: SparkSession, scale: ExpScale, nMds: Int, p: Double,
                  nEx: Option[(Int, Int)] = None, seed: Long = 42): TaskData = {
-    val cfg  = Movies.Config(n = scale.nMovies, seed = seed)
-    val ds   = Movies.rows(spark, cfg)
+    val ds   = Synthetic.rows(spark, scale.nMovies)(Movies.row(scale.nMovies, seed))
     val rws  = ds.collect().toSeq
     val (np, nn) = nEx.getOrElse(scale.moviesEx)
     val (pos, neg) = Movies.examples(rws, np, nn, seed)
@@ -68,8 +65,7 @@ object Tables {
   }
 
   def productsTask(spark: SparkSession, scale: ExpScale, p: Double, seed: Long = 123): TaskData = {
-    val cfg = Products.Config(n = scale.nProducts, seed = seed)
-    val ds  = Products.rows(spark, cfg)
+    val ds  = Synthetic.rows(spark, scale.nProducts)(Products.row(seed))
     val rws = ds.collect().toSeq
     val (np, nn)   = scale.productsEx
     val (pos, neg) = Products.examples(rws, np, nn, seed)
@@ -77,8 +73,7 @@ object Tables {
   }
 
   def papersTask(spark: SparkSession, scale: ExpScale, p: Double, seed: Long = 777): TaskData = {
-    val cfg = Papers.Config(n = scale.nPapers, seed = seed)
-    val ds  = Papers.rows(spark, cfg)
+    val ds  = Synthetic.rows(spark, scale.nPapers)(Papers.row(scale.nPapers, seed))
     val rws = ds.collect().toSeq
     val (np, nn)   = scale.papersEx
     val (pos, neg) = Papers.examples(rws, np, nn, seed)
@@ -181,16 +176,13 @@ object Tables {
     val maxP = sizes.map(_._1).max + testSize._1
     val maxN = sizes.map(_._2).max + testSize._2
     val task = moviesTask(spark, ExpScale.bench.copy(nMovies = nMovies), nMds = 3, p = 0.10, nEx = Some((maxP, maxN)))
-    val spec = task.spec
-    val db   = Database.fromFrames(spec.schema, task.frames)
+    val b    = new Bench(spark, task)
 
     val rows = Vector.newBuilder[Row6]
     println("[table] Table 6 — scaling training examples (movies 3MD, p=0.10)")
-    val fullIdx = SimJoin.buildIndex(spark, db, spec.mds, km = 5)
     for (km <- Seq(5, 2)) {
-      val idx     = if (km == 5) fullIdx else fullIdx.truncated(km)
       val params  = LearnParams(d = 4, mdMode = MdMode.SimMd, useCfdGroups = true)
-      val learner = new DLearn(db, spec, idx, params)
+      val learner = new DLearn(b.db, task.spec, b.simIndex(km), params)
       val teP = learner.coverage.groundAll(learner.builder, task.pos.take(testSize._1))
       val teN = learner.coverage.groundAll(learner.builder, task.neg.take(testSize._2))
       for ((np, nn) <- sizes) {

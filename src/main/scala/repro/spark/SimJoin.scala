@@ -142,10 +142,9 @@ object SimJoin {
       db: Database,
       mds: Vector[MD],
       km: Int,
-      threshold: Double = DefaultThreshold,
   ): SimIndex =
     SimIndex(mds.flatMap(_.pairs).flatMap { case (refA, refB) =>
-      val ps = pairs(db.domain(refA), db.domain(refB), threshold)
+      val ps = pairs(db.domain(refA), db.domain(refB), DefaultThreshold)
       Seq(
         SimIndex.dirKey(refA, refB) -> topK(ps, _.a, _.b, km),
         SimIndex.dirKey(refB, refA) -> topK(ps, _.b, _.a, km),

@@ -6,6 +6,12 @@ import repro.core.db.{RelSpec, Schema}
 import repro.core.logic._
 
 class GeneralizeSpec extends AnyFunSuite {
+
+  /** The node cap these tests run the subsumption search with. */
+  private def subsumes(c: Clause, g: GIndex): Boolean = Subsume.subsumes(c, g, nodeCap = 200000)
+  /** The frontier cap these tests run ARMG with. */
+  private def armg(c: Clause, g: GIndex): Clause = Generalize.armg(c, g, maxFrontier = 256)
+
   private val x = Var("x"); private val y = Var("y"); private val z = Var("z")
   private def C(v: String): Const = Const(v)
   /** s(k, v) under the FD k → v, for the CFD-violation tests. */
@@ -31,7 +37,7 @@ class GeneralizeSpec extends AnyFunSuite {
       Literal("mov2genres", Vector(C("m2"), C("comedy"))),
       Literal("mov2releasedate", Vector(C("m2"), C("September"))),
     )
-    val r = Generalize.armg(c, g)
+    val r = armg(c, g)
     assert(r.body.map(_.pred) == Vector("movies", "mov2genres"))
   }
 
@@ -45,8 +51,8 @@ class GeneralizeSpec extends AnyFunSuite {
       Literal("r", Vector(C("e"), C("k"))),
       Literal("q", Vector(C("k"))),
     )
-    val r = Generalize.armg(c, g)
-    assert(Subsume.subsumes(r, g))
+    val r = armg(c, g)
+    assert(subsumes(r, g))
     assert(r.body.map(_.pred) == Vector("r", "q"))
   }
 
@@ -56,7 +62,7 @@ class GeneralizeSpec extends AnyFunSuite {
       Vector(Literal("r", Vector(x, y)), Literal("s", Vector(y, C("a")))),
     )
     val g = gi(Literal("t", Vector(C("e"))), Literal("r", Vector(C("e"), C("k"))))
-    val r = Generalize.armg(c, g)
+    val r = armg(c, g)
     // The input clause, ground over its own canonical instance, is subsumed
     // by the generalization.
     val canonical = gi(
@@ -64,7 +70,7 @@ class GeneralizeSpec extends AnyFunSuite {
       Literal("r", Vector(C("x"), C("y"))),
       Literal("s", Vector(C("y"), C("a"))),
     )
-    assert(Subsume.subsumes(r, canonical))
+    assert(subsumes(r, canonical))
   }
 
   test("head-connectivity is restored after dropping a bridge literal") {
@@ -82,7 +88,7 @@ class GeneralizeSpec extends AnyFunSuite {
       Literal("r", Vector(C("e"), C("k"))),
       Literal("q", Vector(C("w"))),
     )
-    val r = Generalize.armg(c, g)
+    val r = armg(c, g)
     assert(r.body.map(_.pred) == Vector("r"))
   }
 
@@ -96,7 +102,7 @@ class GeneralizeSpec extends AnyFunSuite {
       Literal("r", Vector(C("e"), C("k"))),
       Literal("s", Vector(C("w"), C("tag"))),
     )
-    val r = Generalize.armg(c, g)
+    val r = armg(c, g)
     // sim(y,z) can reflexively bind z:=k, then s(k,"tag") fails → s dropped,
     // then the dangling sim literal is pruned.
     assert(r.body.map(_.pred) == Vector("r"))
@@ -113,15 +119,15 @@ class GeneralizeSpec extends AnyFunSuite {
       Literal.sim(C("k"), C("w")),
       Literal("s", Vector(C("w"), C("tag"))),
     )
-    val r = Generalize.armg(c, g)
+    val r = armg(c, g)
     assert(r.body.size == 3)
-    assert(Subsume.subsumes(r, g))
+    assert(subsumes(r, g))
   }
 
   test("incompatible head leaves the clause unchanged") {
     val c = Clause(Literal("t", Vector(C("a"))), Vector(Literal("r", Vector(C("a")))))
     val g = gi(Literal("t", Vector(C("b"))), Literal("r", Vector(C("b"))))
-    assert(Generalize.armg(c, g) == c)
+    assert(armg(c, g) == c)
   }
 
   test("groups referencing dropped literals are pruned") {
@@ -137,7 +143,7 @@ class GeneralizeSpec extends AnyFunSuite {
       Literal("r", Vector(C("e"), C("k"))),
       Literal("s", Vector(C("k"), C("v1"))),
     )
-    val r = Generalize.armg(c, g)
+    val r = armg(c, g)
     assert(r.body.contains(l1) && !r.body.contains(l2))
     assert(Expand.detectGroups(r.body, sFd, schema).isEmpty, "group must vanish with its dropped literal")
   }
@@ -155,7 +161,7 @@ class GeneralizeSpec extends AnyFunSuite {
       Literal("s", Vector(C("k"), C("v1"))),
       Literal("s", Vector(C("k"), C("v2"))),
     )
-    val r = Generalize.armg(c, g)
+    val r = armg(c, g)
     assert(Expand.detectGroups(r.body, sFd, schema) == Vector(CfdGroup(0, l1, l2)))
   }
 
@@ -169,7 +175,7 @@ class GeneralizeSpec extends AnyFunSuite {
       Literal("r", Vector(C("e"), C("k"))),
       Literal("s", Vector(C("k"), C("a"))),
     )
-    assert(Generalize.armg(c, g).body == c.body)
+    assert(armg(c, g).body == c.body)
   }
 
   test("maxFrontier caps do not break soundness") {
@@ -178,6 +184,6 @@ class GeneralizeSpec extends AnyFunSuite {
     val gB   = (1 to 6).map(i => Literal("r", Vector(C("e"), C(s"k$i")))).toVector
     val g    = new GIndex(Clause(Literal("t", Vector(C("e"))), gB))
     val r    = Generalize.armg(c, g, maxFrontier = 2)
-    assert(Subsume.subsumes(r, g))
+    assert(subsumes(r, g))
   }
 }

@@ -10,6 +10,12 @@ import repro.core.logic._
   */
 class SubsumePropSpec extends AnyFunSuite {
 
+  /** The node cap these tests run the subsumption search with. */
+  private def subsumes(c: Clause, g: GIndex): Boolean = Subsume.subsumes(c, g, nodeCap = 200000)
+
+  /** The frontier cap these tests run ARMG with. */
+  private def armg(c: Clause, g: GIndex): Clause = Generalize.armg(c, g, maxFrontier = 256)
+
   private val constGen: Gen[Const] = Gen.oneOf("a", "b", "c", "d", "e").map(Const(_))
   private val predGen: Gen[String] = Gen.oneOf("p", "q", "r")
 
@@ -25,14 +31,14 @@ class SubsumePropSpec extends AnyFunSuite {
 
   test("a clause always subsumes itself (ground reflexivity)") {
     Props.check(Prop.forAll(groundClauseGen) { g =>
-      Subsume.subsumes(g, new GIndex(g))
+      subsumes(g, new GIndex(g))
     })
   }
 
   test("dropping body literals preserves subsumption (generalization soundness)") {
     Props.check(Prop.forAll(groundClauseGen, Gen.choose(0, 7)) { (g, k) =>
       val dropped = Clause(g.head, g.body.patch(k % math.max(1, g.body.size), Nil, 1))
-      Subsume.subsumes(dropped, new GIndex(g))
+      subsumes(dropped, new GIndex(g))
     })
   }
 
@@ -43,21 +49,21 @@ class SubsumePropSpec extends AnyFunSuite {
       val theta: Map[Term, Term] = consts.zipWithIndex.map { case (c, i) => (c: Term) -> (Var(s"x$i"): Term) }.toMap
       def lift(l: Literal) = l.copy(args = l.args.map(a => theta.getOrElse(a, a)))
       val c = Clause(lift(g.head), g.body.map(lift))
-      Subsume.subsumes(c, new GIndex(g))
+      subsumes(c, new GIndex(g))
     })
   }
 
   test("subsumption implies subsumption after adding literals to the target") {
     Props.check(Prop.forAll(groundClauseGen, groundClauseGen) { (g, extra) =>
       val bigger = Clause(g.head, g.body ++ extra.body)
-      !Subsume.subsumes(g, new GIndex(g)) || Subsume.subsumes(g, new GIndex(bigger))
+      !subsumes(g, new GIndex(g)) || subsumes(g, new GIndex(bigger))
     })
   }
 
   test("a fresh predicate in the candidate always blocks subsumption") {
     Props.check(Prop.forAll(groundClauseGen) { g =>
       val c = Clause(g.head, g.body :+ Literal("zzz", Vector(Const("a"))))
-      !Subsume.subsumes(c, new GIndex(g))
+      !subsumes(c, new GIndex(g))
     })
   }
 
@@ -67,8 +73,8 @@ class SubsumePropSpec extends AnyFunSuite {
       val hv = Var("h")
       val c  = Clause(Literal("t", Vector(hv)),
         c0.body.map(l => l.copy(args = l.args.map(a => if (a == c0.head.args.head) hv else a))))
-      val r = Generalize.armg(c, new GIndex(g))
-      Subsume.subsumes(r, new GIndex(g))
+      val r = armg(c, new GIndex(g))
+      subsumes(r, new GIndex(g))
     })
   }
 
@@ -140,7 +146,7 @@ class SubsumePropSpec extends AnyFunSuite {
       def subList(xs: Vector[Literal], ys: Vector[Literal]): Boolean =
         xs.isEmpty || (ys.nonEmpty && subList(if (xs.head eq ys.head) xs.tail else xs, ys.tail))
       val headsUnify = oracle(Clause(c.head, Vector.empty), g)
-      subList(r.body, c.body) && (!headsUnify || (oracle(r, g) && Subsume.subsumes(r, new GIndex(g))))
+      subList(r.body, c.body) && (!headsUnify || (oracle(r, g) && subsumes(r, new GIndex(g))))
     }, minTests = 5000)
   }
 

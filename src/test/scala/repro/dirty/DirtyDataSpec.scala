@@ -44,11 +44,13 @@ class DirtyDataSpec extends SparkSpec {
 
   // ------------------------------------------------------------- movies
 
-  private val mCfg  = Movies.Config(n = 300, seed = 11)
-  private lazy val movies = Movies.rows(spark, mCfg).collect().toSeq
+  // A constant, so the generator closure copies it and not the suite.
+  private final val nMovies = 300
+  private def movieRows   = Synthetic.rows(spark, nMovies)(Movies.row(nMovies, seed = 11))
+  private lazy val movies = movieRows.collect().toSeq
 
   test("movies: generation is deterministic") {
-    assert(Movies.rows(spark, mCfg).collect().toSeq == movies)
+    assert(movieRows.collect().toSeq == movies)
   }
 
   test("movies: ids are distinct and database-prefixed") {
@@ -93,11 +95,11 @@ class DirtyDataSpec extends SparkSpec {
   }
 
   test("movies: frames align with the declared schema") {
-    val fr = Movies.frames(Movies.rows(spark, mCfg))
+    val fr = Movies.frames(movieRows)
     for (spec <- Movies.schema.rels)
       assert(fr(spec.name).columns.toVector == spec.attrs, spec.name)
-    assert(fr("imdb_mov2cast").count() == 2L * mCfg.n)
-    assert(fr("imdb_mov2writers").count() == 2L * mCfg.n)
+    assert(fr("imdb_mov2cast").count() == 2L * nMovies)
+    assert(fr("imdb_mov2writers").count() == 2L * nMovies)
   }
 
   test("movies: spec wires 1-MD and 3-MD configurations") {
@@ -117,17 +119,17 @@ class DirtyDataSpec extends SparkSpec {
   }
 
   test("movies: injected frames contain CFD violations at roughly rate p") {
-    val fr   = Movies.frames(Movies.rows(spark, mCfg))
+    val fr   = Movies.frames(movieRows)
     val inj  = Movies.injected(fr, 0.2, seed = 11)
     val extra = inj("omdb_mov2rating").count() - fr("omdb_mov2rating").count()
-    assert(extra > mCfg.n * 0.1 && extra < mCfg.n * 0.3, s"injected $extra")
+    assert(extra > nMovies * 0.1 && extra < nMovies * 0.3, s"injected $extra")
     assert(inj("imdb_mov2genres").count() == fr("imdb_mov2genres").count(), "no CFD ⇒ untouched")
   }
 
   // ------------------------------------------------------------- products
 
-  private val pCfg = Products.Config(n = 300, seed = 12)
-  private lazy val products = Products.rows(spark, pCfg).collect().toSeq
+  private def productRows   = Synthetic.rows(spark, 300)(Products.row(seed = 12))
+  private lazy val products = productRows.collect().toSeq
 
   test("products: label is the ComputersAccessories category") {
     assert(products.forall(p => p.label == (p.category == "ComputersAccessories")))
@@ -149,7 +151,7 @@ class DirtyDataSpec extends SparkSpec {
   }
 
   test("products: frames align with the declared schema") {
-    val fr = Products.frames(Products.rows(spark, pCfg))
+    val fr = Products.frames(productRows)
     for (spec <- Products.schema.rels)
       assert(fr(spec.name).columns.toVector == spec.attrs, spec.name)
   }
@@ -161,7 +163,7 @@ class DirtyDataSpec extends SparkSpec {
   }
 
   test("products: injection touches all six CFD relations") {
-    val fr  = Products.frames(Products.rows(spark, pCfg))
+    val fr  = Products.frames(productRows)
     val inj = Products.injected(fr, 0.3, seed = 9)
     for (cfd <- Products.cfds)
       assert(inj(cfd.rel).count() > fr(cfd.rel).count(), cfd.rel)
@@ -169,8 +171,8 @@ class DirtyDataSpec extends SparkSpec {
 
   // ------------------------------------------------------------- papers
 
-  private val paCfg = Papers.Config(n = 300, seed = 13)
-  private lazy val papers = Papers.rows(spark, paCfg).collect().toSeq
+  private def paperRows   = Synthetic.rows(spark, 300)(Papers.row(300, seed = 13))
+  private lazy val papers = paperRows.collect().toSeq
 
   test("papers: scholar has no year attribute at all") {
     assert(!Papers.schema("scholar_paper").attrs.contains("year"))
@@ -208,13 +210,13 @@ class DirtyDataSpec extends SparkSpec {
   }
 
   test("papers: frames align with the declared schema") {
-    val fr = Papers.frames(Papers.rows(spark, paCfg))
+    val fr = Papers.frames(paperRows)
     for (spec <- Papers.schema.rels)
       assert(fr(spec.name).columns.toVector == spec.attrs, spec.name)
   }
 
   test("papers: injection produces scrambled titles that match nothing") {
-    val fr  = Papers.frames(Papers.rows(spark, paCfg))
+    val fr  = Papers.frames(paperRows)
     val inj = Papers.injected(fr, 0.3, seed = 4)
     assert(inj("scholar_paper").count() > fr("scholar_paper").count())
     assert(inj("dblp_paper").count() > fr("dblp_paper").count())

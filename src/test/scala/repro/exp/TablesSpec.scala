@@ -1,5 +1,8 @@
 package repro.exp
 
+import java.nio.charset.StandardCharsets.UTF_8
+import java.security.MessageDigest
+
 import repro.SparkSpec
 import repro.core.db.{AttrRef, Database}
 import repro.core.learn.{DLearn, Eval, LearnParams, MdMode}
@@ -38,6 +41,31 @@ class TablesSpec extends SparkSpec {
     val dirty = Tables.moviesTask(spark, ExpScale.tiny, nMds = 1, p = 0.2)
     assert(dirty.frames("omdb_mov2rating").count() > clean.frames("omdb_mov2rating").count())
     assert(dirty.frames("omdb_mov2cast").count() == clean.frames("omdb_mov2cast").count())
+  }
+
+  /** SHA-1 over every collected relation in schema order, its tuples in
+    * order, then the positive and the negative examples.
+    */
+  private def digest(t: TaskData): String = {
+    val db = Database.fromFrames(t.spec.schema, t.frames)
+    val md = MessageDigest.getInstance("SHA-1")
+    def put(s: String): Unit = md.update((s + "\n").getBytes(UTF_8))
+    for (rel <- t.spec.schema.rels) {
+      put("#" + rel.name)
+      db.tuples(rel.name).foreach(tu => put(tu.map(v => if (v == null) "\\N" else v).mkString("\t")))
+    }
+    put("#pos"); t.pos.foreach(e => put(e.args.mkString("\t")))
+    put("#neg"); t.neg.foreach(e => put(e.args.mkString("\t")))
+    md.digest().map("%02x".format(_)).mkString
+  }
+
+  test("generated tasks keep their tuples and tuple order: golden digests at p = 0.10 (tiny)") {
+    // A learned definition depends on tuple order as well as on values
+    // (bottom clauses sample each relation's first tuples), so a change to
+    // generation or injection must leave both as they are.
+    assert(digest(Tables.moviesTask(spark, ExpScale.tiny, nMds = 3, p = 0.10)) == "713e3c48e7df9ddf8b03c9dca209c5ae18dd1335")
+    assert(digest(Tables.productsTask(spark, ExpScale.tiny, p = 0.10)) == "8609ad4e535d3068480a29cc26d201fec7d18d80")
+    assert(digest(Tables.papersTask(spark, ExpScale.tiny, p = 0.10)) == "b0fa12bf8193fdf01bc567105053a8b2d01917d6")
   }
 
   test("tasks are deterministic in the seed") {

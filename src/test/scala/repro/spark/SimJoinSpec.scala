@@ -80,8 +80,7 @@ class SimJoinSpec extends SparkSpec {
   test("pairs equals a brute-force loop over product-family titles, scored by the reference DP") {
     // Family titles share long prefixes ("<base> 16 gb" / "<base> 32 gb"), so
     // the kernel reuses and abandons columns on almost every candidate.
-    val cfg = Products.Config(seed = 7)
-    val rows = (0L until 240L).map(Products.row(cfg))
+    val rows = (0L until 240L).map(Products.row(seed = 7))
     val left = rows.map(_.titleW) ++ rows.take(20).map(_.titleW.toUpperCase)
     val right = rows.map(_.titleA) ++ rows.take(20).map(r => r.titleA.capitalize)
     for (threshold <- Seq(0.6, 0.75, 0.9)) {
@@ -176,9 +175,15 @@ class SimJoinSpec extends SparkSpec {
   }
 
   test("buildIndex respects the similarity threshold") {
-    val db  = mkDb(Seq("tavo rizel maku"), Seq("takk zzz unrelated"))
-    val idx = SimJoin.buildIndex(spark, db, Vector(md), km = 5, threshold = 0.8)
-    assert(idx.matches(AttrRef("r1", "name"), AttrRef("r2", "name"), "tavo rizel maku").isEmpty)
+    // The pair shares the block key "tavo", so the join scores it, and the
+    // score falls below the threshold.
+    val (a, b) = ("tavo rizel maku", "tavo qqqqqqqqqqqqqqqqqqqqqqqqqqqq")
+    val scored = SimJoin.pairs(Seq(a), Seq(b), 0.0)
+    assert(scored.map(p => (p.a, p.b)) == Vector((a, b)))
+    assert(scored.head.score < SimJoin.DefaultThreshold, s"score ${scored.head.score}")
+    assert(SimJoin.pairs(Seq(a), Seq(b), SimJoin.DefaultThreshold).isEmpty)
+    val idx = SimJoin.buildIndex(spark, mkDb(Seq(a), Seq(b)), Vector(md), km = 5)
+    assert(idx.matches(AttrRef("r1", "name"), AttrRef("r2", "name"), a).isEmpty)
   }
 
   test("empty SimIndex returns no matches") {
