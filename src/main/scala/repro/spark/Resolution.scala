@@ -18,18 +18,17 @@ import repro.core.db.Database
 object Resolution {
 
   /** Resolve all MD attribute pairs, in order, on the driver: each second-side
-    * (B) value is replaced in place by its best first-side (A) match under
-    * `SimJoin`'s join and ranking rule at [[SimJoin.DefaultThreshold]]. Each
-    * pair sees the values the pairs before it wrote. Every relation keeps its
-    * tuples and their order; `db` is not modified.
+    * (B) value is replaced in place by its best first-side (A) match, the
+    * top-1 list of [[SimJoin.topKJoin]] at k = 1 (score descending, then the
+    * smaller A value). Each pair sees the values the pairs before it wrote.
+    * Every relation keeps its tuples and their order; `db` is not modified.
     */
   def resolve(db: Database, mds: Vector[MD]): Database = {
     var data = db.data
     for (md <- mds; (refA, refB) <- md.pairs) {
       val ia   = db.schema(refA.rel).attrIdx(refA.attr)
       val ib   = db.schema(refB.rel).attrIdx(refB.attr)
-      val ps   = SimJoin.pairs(data(refA.rel).view.map(_(ia)), data(refB.rel).view.map(_(ib)), SimJoin.DefaultThreshold)
-      val top1 = SimJoin.topK(ps, _.b, _.a, 1)
+      val top1 = SimJoin.topKJoin(data(refA.rel).view.map(_(ia)), data(refB.rel).view.map(_(ib)), 1)._2
       data = data.updated(refB.rel, data(refB.rel).map { t =>
         top1.get(t(ib)).fold(t)(ms => t.updated(ib, ms.head.value))
       })

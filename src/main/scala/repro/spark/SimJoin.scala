@@ -1,5 +1,7 @@
 package repro.spark
 
+import java.util.concurrent.atomic.AtomicLongArray
+
 import scala.collection.mutable
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
@@ -42,8 +44,8 @@ object SimIndex {
 final case class SimPair(a: String, b: String, score: Double)
 
 /** The similarity join behind DLearn's top-k_m index and Castor-Clean's
-  * top-1 resolution: a blocked all-pairs join over two sets of distinct
-  * values, then one ranking rule for the top-k per value.
+  * top-1 resolution: a blocked join over two sets of distinct values, ranked
+  * by one rule, score descending and then the other value ascending.
   *
   * It runs on the driver. An MD attribute's domain is a few hundred to a few
   * thousand strings that the collected `Database` already holds, and an
@@ -67,56 +69,129 @@ object SimJoin {
     */
   val DefaultThreshold = 0.6
 
-  /** All pairs (a, b) of distinct values that share a blocking key and score
-    * at least `threshold`, in the order of `left` and then of `right`. An
-    * inverted index maps each key to the `right` values holding it; each
-    * `left` value is scored against the distinct values of its keys' lists,
-    * through `Par`, by one [[Similarity.Aligner]] that takes them in
-    * lowercase order, so consecutive candidates share their prefix columns.
-    * Repeated input values count once; nulls have no keys and never pair.
+  /** The right side of a join, blocked: its distinct non-null values in
+    * input order, and an inverted index from each blocking key to the
+    * lowercase ranks of the values holding it.
     */
-  def pairs(left: Iterable[String], right: Iterable[String], threshold: Double): Vector[SimPair] = {
-    val bs    = right.iterator.filter(_ != null).distinct.toArray
-    val bLow  = bs.map(_.toLowerCase)
-    // rank -> index into bs, by lowercase form; the inverted index holds ranks
-    val order = bs.indices.sortBy(bLow).toArray
-    val byKey = mutable.HashMap.empty[String, mutable.ArrayBuffer[Int]]
-    for (r <- order.indices; k <- blockKeys(bs(order(r)))) byKey.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += r
-    Par.map(left.iterator.distinct.toVector) { a =>
+  private final class Blocked(right: Iterable[String]) {
+    val values: Array[String] = right.iterator.filter(_ != null).distinct.toArray
+    private val low   = values.map(_.toLowerCase)
+    // rank -> index into values, by lowercase form
+    private val order = values.indices.sortBy(low).toArray
+    private val byKey = mutable.HashMap.empty[String, mutable.ArrayBuffer[Int]]
+    for (r <- order.indices; k <- blockKeys(values(order(r)))) byKey.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += r
+
+    /** Scores `a` against every value sharing a blocking key with it, by one
+      * [[Similarity.Aligner]] that takes them in lowercase order, so
+      * consecutive candidates share their prefix columns. Value `j` is scored
+      * at `threshold(j)`, read just before its turn, and `hit(j, score)`
+      * receives each score that reaches it.
+      */
+    def scan(a: String)(threshold: Int => Double)(hit: (Int, Double) => Unit): Unit = {
       val shared = mutable.BitSet.empty
       blockKeys(a).foreach(k => byKey.get(k).foreach(shared ++= _))
-      val hits = mutable.ArrayBuffer.empty[(Int, Double)]
       if (shared.nonEmpty) {
         val al = new Similarity.Aligner(a)
         shared.foreach { r =>
           val j     = order(r)
-          val score = al.sim(bs(j), bLow(j), threshold)
-          if (score >= threshold) hits += ((j, score))
+          val t     = threshold(j)
+          val score = al.sim(values(j), low(j), t)
+          if (score >= t) hit(j, score)
         }
       }
-      hits.sortInPlaceBy(_._1).iterator.map { case (j, score) => SimPair(a, bs(j), score) }.toVector
+    }
+  }
+
+  /** All pairs (a, b) of distinct values that share a blocking key and score
+    * at least `threshold`, in the order of `left` and then of `right`. Each
+    * `left` value is scanned through `Par`. Repeated input values count once;
+    * nulls have no keys and never pair.
+    */
+  def pairs(left: Iterable[String], right: Iterable[String], threshold: Double): Vector[SimPair] = {
+    val blocked = new Blocked(right)
+    Par.map(left.iterator.distinct.toVector) { a =>
+      val hits = mutable.ArrayBuffer.empty[(Int, Double)]
+      blocked.scan(a)(_ => threshold)((j, score) => hits += ((j, score)))
+      hits.sortInPlaceBy(_._1).iterator.map { case (j, score) => SimPair(a, blocked.values(j), score) }.toVector
     }.flatten
   }
 
-  /** The `k` best pairs per value of `key`, as matches on the `other` value:
-    * by descending score, ties broken by the ascending `other` value. This
-    * is the one ranking rule of both index directions and of Castor-Clean.
+  /** The `k` best matches seen so far, by descending score and then
+    * ascending value. Not thread-safe.
     */
-  def topK(
-      pairs: Seq[SimPair],
-      key: SimPair => String,
-      other: SimPair => String,
+  private final class Best(k: Int) {
+    private val values = new Array[String](k)
+    private val scores = new Array[Double](k)
+    private var size   = 0
+
+    /** The k-th best score so far, or -∞ while fewer than `k` are held. */
+    def kth: Double = if (size < k) Double.NegativeInfinity else scores(k - 1)
+
+    def add(value: String, score: Double): Unit = {
+      def ranksBefore(i: Int) = score > scores(i) || (score == scores(i) && value.compareTo(values(i)) < 0)
+      var i = size
+      if (size == k) {
+        if (!ranksBefore(k - 1)) return
+        i = k - 1
+      } else size += 1
+      while (i > 0 && ranksBefore(i - 1)) {
+        values(i) = values(i - 1)
+        scores(i) = scores(i - 1)
+        i -= 1
+      }
+      values(i) = value
+      scores(i) = score
+    }
+
+    def matches: Vector[SimMatch] = Vector.tabulate(size)(i => SimMatch(values(i), scores(i)))
+  }
+
+  /** The top-`k` lists of both directions of the join at [[DefaultThreshold]]:
+    * each `left` value's `k` best `right` values, and each `right` value's
+    * `k` best `left` values, ranked by score descending and then the other
+    * value ascending. Values without a match have no entry.
+    *
+    * A top-k join (Xiao et al., *Top-k set similarity joins*, ICDE 2009): no
+    * pair list is built. Each left value, scanned through `Par`, keeps its
+    * own k best; each right value keeps its k best under its own lock, and
+    * publishes its k-th score in `kthBits` to be read without the lock. A
+    * candidate (a, b) is scored at `max(DefaultThreshold, min(kth(a),
+    * kth(b)))`, so the kernel abandons it as soon as it cannot enter either
+    * list, and a scored pair is offered to both.
+    *
+    * The lists are exact. A running k-th score is the k-th of some scored
+    * pairs, so it never exceeds the final one; a pair is skipped only when
+    * its score is strictly below both, and then it is in neither final list.
+    * A tie with the k-th score is still scored. So each list is the
+    * `(score desc, other asc)` top-k of all pairs, whatever the scheduling.
+    */
+  def topKJoin(
+      left: Iterable[String],
+      right: Iterable[String],
       k: Int,
-  ): Map[String, Vector[SimMatch]] = {
-    val rank: java.util.Comparator[SimPair] = (x, y) => {
-      val c = java.lang.Double.compare(y.score, x.score)
-      if (c != 0) c else other(x).compareTo(other(y))
+  ): (Map[String, Vector[SimMatch]], Map[String, Vector[SimMatch]]) = {
+    require(k > 0, s"k = $k")
+    val blocked   = new Blocked(right)
+    val bs        = blocked.values
+    val rightBest = Array.fill(bs.length)(new Best(k))
+    val kthBits   = new AtomicLongArray(bs.length)
+    for (j <- bs.indices) kthBits.set(j, java.lang.Double.doubleToLongBits(Double.NegativeInfinity))
+    val byLeft = Par.map(left.iterator.distinct.toVector) { a =>
+      val best = new Best(k)
+      blocked.scan(a) { j =>
+        math.max(DefaultThreshold, math.min(best.kth, java.lang.Double.longBitsToDouble(kthBits.get(j))))
+      } { (j, score) =>
+        best.add(bs(j), score)
+        val rb = rightBest(j)
+        rb.synchronized {
+          rb.add(a, score)
+          kthBits.set(j, java.lang.Double.doubleToLongBits(rb.kth))
+        }
+      }
+      a -> best.matches
     }
-    pairs.groupBy(key).map { case (v, ps) =>
-      val sorted = ps.toArray
-      java.util.Arrays.sort(sorted, rank)
-      v -> sorted.iterator.take(k).map(p => SimMatch(other(p), p.score)).toVector
-    }
+    val byRight = bs.indices.iterator.map(j => bs(j) -> rightBest(j).matches)
+    (byLeft.iterator.filter(_._2.nonEmpty).toMap, byRight.filter(_._2.nonEmpty).toMap)
   }
 
   /** The values of a string column, collected to the driver. */
@@ -134,8 +209,9 @@ object SimJoin {
   }
 
   /** Build the bidirectional top-k_m similarity index for all MD attribute
-    * pairs of a database, from its collected domains; no Spark job runs.
-    * `spark` is unused and kept only for existing callers.
+    * pairs of a database, from its collected domains, by one [[topKJoin]]
+    * per pair; no Spark job runs. `spark` is unused and kept only for
+    * existing callers.
     */
   def buildIndex(
       spark: SparkSession,
@@ -144,10 +220,7 @@ object SimJoin {
       km: Int,
   ): SimIndex =
     SimIndex(mds.flatMap(_.pairs).flatMap { case (refA, refB) =>
-      val ps = pairs(db.domain(refA), db.domain(refB), DefaultThreshold)
-      Seq(
-        SimIndex.dirKey(refA, refB) -> topK(ps, _.a, _.b, km),
-        SimIndex.dirKey(refB, refA) -> topK(ps, _.b, _.a, km),
-      )
+      val (fwd, bwd) = topKJoin(db.domain(refA), db.domain(refB), km)
+      Seq(SimIndex.dirKey(refA, refB) -> fwd, SimIndex.dirKey(refB, refA) -> bwd)
     }.toMap)
 }

@@ -1,6 +1,9 @@
 package repro.dirty
 
+import org.apache.spark.sql.DataFrame
+
 import repro.SparkSpec
+import repro.core.db.Schema
 import repro.core.sim.Similarity
 
 /** Generator-level invariants of the three synthetic dataset pairs. */
@@ -41,6 +44,20 @@ class DirtyDataSpec extends SparkSpec {
     assert(Words.variant(0) == "part ii")
     assert(Words.variant(4) == "part ii")
   }
+
+  /** Each relation's frame has the declared attributes as its columns, and
+    * its `id` column lists the entities in order: entity `e` renders
+    * `tuples(rel)(e) = (id, n)`, its id in that relation's database, on `n`
+    * tuples (one, or one per element of an exploded list).
+    */
+  private def assertFramesFollow[A](schema: Schema, fr: Map[String, DataFrame], rows: Seq[A])(
+      tuples: String => A => (String, Int)): Unit =
+    for (spec <- schema.rels) {
+      val df = fr(spec.name)
+      assert(df.columns.toVector == spec.attrs, spec.name)
+      val expected = rows.flatMap { r => val (id, n) = tuples(spec.name)(r); Seq.fill(n)(id) }
+      assert(df.select("id").collect().map(_.getString(0)).toSeq == expected, spec.name)
+    }
 
   // ------------------------------------------------------------- movies
 
@@ -96,8 +113,14 @@ class DirtyDataSpec extends SparkSpec {
 
   test("movies: frames align with the declared schema") {
     val fr = Movies.frames(movieRows)
-    for (spec <- Movies.schema.rels)
-      assert(fr(spec.name).columns.toVector == spec.attrs, spec.name)
+    assertFramesFollow(Movies.schema, fr, movies) {
+      case "imdb_mov2cast"            => m => (m.imdbId, m.cast.size)
+      case "imdb_mov2writers"         => m => (m.imdbId, m.writers.size)
+      case "omdb_mov2cast"            => m => (m.omdbId, m.castO.size)
+      case "omdb_mov2writers"         => m => (m.omdbId, m.writersO.size)
+      case r if r.startsWith("imdb_") => m => (m.imdbId, 1)
+      case r if r.startsWith("omdb_") => m => (m.omdbId, 1)
+    }
     assert(fr("imdb_mov2cast").count() == 2L * nMovies)
     assert(fr("imdb_mov2writers").count() == 2L * nMovies)
   }
@@ -151,9 +174,10 @@ class DirtyDataSpec extends SparkSpec {
   }
 
   test("products: frames align with the declared schema") {
-    val fr = Products.frames(productRows)
-    for (spec <- Products.schema.rels)
-      assert(fr(spec.name).columns.toVector == spec.attrs, spec.name)
+    assertFramesFollow(Products.schema, Products.frames(productRows), products) {
+      case r if r.startsWith("walmart_") => p => (p.wId, 1)
+      case r if r.startsWith("amazon_")  => p => (p.aId, 1)
+    }
   }
 
   test("products: examples use the upc only") {
@@ -210,9 +234,12 @@ class DirtyDataSpec extends SparkSpec {
   }
 
   test("papers: frames align with the declared schema") {
-    val fr = Papers.frames(paperRows)
-    for (spec <- Papers.schema.rels)
-      assert(fr(spec.name).columns.toVector == spec.attrs, spec.name)
+    assertFramesFollow(Papers.schema, Papers.frames(paperRows), papers) {
+      case "dblp_authors"                => p => (p.dId, p.authorsD.size)
+      case "scholar_authors"             => p => (p.gsId, p.authorsS.size)
+      case r if r.startsWith("dblp_")    => p => (p.dId, 1)
+      case r if r.startsWith("scholar_") => p => (p.gsId, 1)
+    }
   }
 
   test("papers: injection produces scrambled titles that match nothing") {

@@ -25,7 +25,7 @@ class ResolutionSpec extends SparkSpec {
   private def resolved(left: Seq[String], right: Seq[String]): Vector[String] =
     Resolution.resolve(twoSides(left, right), Vector(nameMd)).tuples("r2").map(_(1)).toVector
 
-  test("top1Mapping maps each right value to its most similar left value") {
+  test("resolve maps each right value to its most similar left value") {
     val out = resolved(
       Seq("tavo rizel maku part ii", "tavo rizel maku part iii", "bodu fema lira"),
       Seq("tavo rizel maku part ii (1994)", "bodu fema lira x"),
@@ -33,13 +33,13 @@ class ResolutionSpec extends SparkSpec {
     assert(out == Vector("tavo rizel maku part ii", "bodu fema lira"))
   }
 
-  test("top1Mapping yields at most one row per right value") {
+  test("resolve yields at most one row per right value") {
     val left = Seq("aaa bbb", "aaa bbc", "aaa bbd")
     val out  = resolved(left, Seq("aaa bbb x"))
     assert(out.size == 1 && left.contains(out.head))
   }
 
-  test("top1Mapping can resolve an ambiguous value to the wrong family member") {
+  test("resolve can map an ambiguous value to the wrong family member") {
     // The Star Wars phenomenon: a truncated title matches several siblings;
     // top-1 must commit to exactly one of them.
     val out = resolved(Seq("tavo rizel maku part ii", "tavo rizel maku part iii"), Seq("tavo rizel maku"))
@@ -47,7 +47,7 @@ class ResolutionSpec extends SparkSpec {
     assert(out.head.startsWith("tavo rizel maku part"))
   }
 
-  test("top1Mapping breaks a score tie toward the smaller left value") {
+  test("resolve breaks a score tie toward the smaller left value") {
     assert(Similarity.sim("tavo rizel x", "tavo rizel") == Similarity.sim("tavo rizel y", "tavo rizel"))
     assert(resolved(Seq("tavo rizel y", "tavo rizel x"), Seq("tavo rizel")) == Vector("tavo rizel x"))
   }
@@ -101,7 +101,7 @@ class ResolutionSpec extends SparkSpec {
     assert(pairs.map(_._2.rel).distinct.size == pairs.size)
     for ((refA, refB) <- pairs) {
       val spec    = t.spec.schema(refB.rel)
-      val top1    = SimJoin.topK(SimJoin.pairs(db.domain(refA), db.domain(refB), SimJoin.DefaultThreshold), _.b, _.a, 1)
+      val top1    = ReferenceTopK(SimJoin.pairs(db.domain(refA), db.domain(refB), SimJoin.DefaultThreshold), _.b, _.a, 1)
       val mapping = Frames.of(spark, RelSpec("mapping", Vector("fromv", "tov"), Set.empty),
         top1.toSeq.map { case (b, ms) => Array(b, ms.head.value) })
       val cols = spec.attrs.map { a =>

@@ -2,11 +2,14 @@ package repro.spark
 
 import scala.util.Random
 
-import repro.{Oracle, SparkSpec}
+import org.scalacheck.{Gen, Prop}
+
+import repro.{Oracle, Props, SparkSpec}
 import repro.core.constraints.MD
 import repro.core.db.{AttrRef, Database, RelSpec, Schema}
 import repro.core.sim.{Reference, Similarity}
 import repro.dirty.Products
+import repro.exp.{ExpScale, Tables}
 
 class SimJoinSpec extends SparkSpec {
   import spark.implicits._
@@ -96,18 +99,15 @@ class SimJoinSpec extends SparkSpec {
     }
   }
 
-  test("topK keeps the k best per partition — oracle-checked against DuckDB") {
+  test("topKJoin keeps the k best per value — oracle-checked against DuckDB") {
     // The top-k lists of both directions, with each match's rank, must equal
     // row_number() over the simPairs view of the same join.
     val rnd   = new Random(3)
-    val pairs = SimJoin.simPairs(randomDomain(rnd, 40).toDF("a"), randomDomain(rnd, 40).toDF("b"), 0.5)
-    val ps    = pairs.as[SimPair].collect().toSeq
-    val sides = Seq[(String, String, SimPair => String, SimPair => String)](
-      ("a", "b", _.a, _.b),
-      ("b", "a", _.b, _.a),
-    )
-    for ((key, other, keyOf, otherOf) <- sides) {
-      val got = SimJoin.topK(ps, keyOf, otherOf, 2).toSeq
+    val (left, right) = (randomDomain(rnd, 40), randomDomain(rnd, 40))
+    val pairs = SimJoin.simPairs(left.toDF("a"), right.toDF("b"), SimJoin.DefaultThreshold)
+    val (fwd, bwd) = SimJoin.topKJoin(left, right, 2)
+    for ((key, other, lists) <- Seq(("a", "b", fwd), ("b", "a", bwd))) {
+      val got = lists.toSeq
         .flatMap { case (v, ms) => ms.zipWithIndex.map { case (m, i) => (v, m.value, m.score, i + 1) } }
         .toDF(key, other, "score", "rk")
       Oracle.assertEquivalent(
@@ -121,24 +121,68 @@ class SimJoinSpec extends SparkSpec {
     }
   }
 
-  test("topK tie-breaks deterministically by the other column") {
-    val ps = Seq(SimPair("a1", "b2", 0.5), SimPair("a1", "b1", 0.5))
-    for (in <- Seq(ps, ps.reverse))
-      assert(SimJoin.topK(in, _.a, _.b, 1) == Map("a1" -> Vector(SimMatch("b1", 0.5))))
+  test("topKJoin tie-breaks deterministically by the other value") {
+    val (x, y, v) = ("tavo rizel x", "tavo rizel y", "tavo rizel")
+    assert(Similarity.sim(v, x) == Similarity.sim(v, y))
+    for (in <- Seq(Seq(x, y), Seq(y, x))) {
+      assert(SimJoin.topKJoin(Seq(v), in, 1)._1 == Map(v -> Vector(SimMatch(x, Similarity.sim(v, x)))))
+      assert(SimJoin.topKJoin(in, Seq(v), 1)._2 == Map(v -> Vector(SimMatch(x, Similarity.sim(x, v)))))
+    }
   }
 
   test("the top-k lists do not depend on the order the domains come in") {
     val rnd   = new Random(5)
     val left  = randomDomain(rnd, 40)
     val right = randomDomain(rnd, 40)
-    def lists(l: Seq[String], r: Seq[String]) = {
-      val ps = SimJoin.pairs(l, r, 0.5)
-      (SimJoin.topK(ps, _.a, _.b, 3), SimJoin.topK(ps, _.b, _.a, 3))
-    }
+    def lists(l: Seq[String], r: Seq[String]) = SimJoin.topKJoin(l, r, 3)
     val base = lists(left, right)
     assert(base._1.nonEmpty && base._2.nonEmpty)
     assert(lists(left.reverse, right.reverse) == base)
     assert(lists(rnd.shuffle(left), rnd.shuffle(right)) == base)
+  }
+
+  /** A value of one to three tokens from a vocabulary of mostly four-letter
+    * words, sometimes with one letter replaced, or null: equal lengths and
+    * shared tokens make many exact score ties, and a small domain repeats
+    * values.
+    */
+  private val tieValue: Gen[String] = {
+    val vocab  = Vector("tavo", "rize", "maku", "bodu", "Fema", "lira", "ii", "iv", "1994")
+    val tokens = Gen.choose(1, 3).flatMap(Gen.listOfN(_, Gen.oneOf(vocab))).map(_.mkString(" "))
+    val typo   = for (s <- tokens; i <- Gen.choose(0, s.length - 1); c <- Gen.oneOf('a', 'e', 'z')) yield s.updated(i, c)
+    Gen.frequency(6 -> tokens, 3 -> typo, 1 -> Gen.const(null: String))
+  }
+  private val tieDomain: Gen[Vector[String]] = Gen.choose(0, 30).flatMap(Gen.listOfN(_, tieValue)).map(_.toVector)
+
+  test("topKJoin equals the sort-based reference on shuffled tie-heavy domains") {
+    Props.check(Prop.forAllNoShrink(tieDomain, tieDomain, Gen.oneOf(1, 2, 3, 10), Gen.long) { (left, right, k, seed) =>
+      val rnd = new Random(seed)
+      SimJoin.topKJoin(rnd.shuffle(left), rnd.shuffle(right), k) == ReferenceTopK.join(left, right, k)
+    }, minTests = 300)
+  }
+
+  test("buildIndex equals the sort-based reference on every tiny task's MD pairs") {
+    val tasks = Seq(
+      Tables.moviesTask(spark, ExpScale.tiny, nMds = 3, p = 0.0),
+      Tables.productsTask(spark, ExpScale.tiny, p = 0.0),
+      Tables.papersTask(spark, ExpScale.tiny, p = 0.0),
+    )
+    for (t <- tasks) {
+      val db    = Database.fromFrames(t.spec.schema, t.frames)
+      val pairs = t.spec.mds.flatMap(_.pairs)
+      val ps    = pairs.map { case (a, b) => SimJoin.pairs(db.domain(a), db.domain(b), SimJoin.DefaultThreshold) }
+      for (k <- Seq(1, 2, 5, 10)) {
+        val idx = SimJoin.buildIndex(spark, db, t.spec.mds, k)
+        for (((refA, refB), p) <- pairs.zip(ps); (from, to, key, other) <- Seq(
+               (refA, refB, (q: SimPair) => q.a, (q: SimPair) => q.b),
+               (refB, refA, (q: SimPair) => q.b, (q: SimPair) => q.a))) {
+          val expected = ReferenceTopK(p, key, other, k)
+          assert(expected.nonEmpty, s"${t.name} $from")
+          for (v <- db.domain(from))
+            assert(idx.matches(from, to, v) == expected.getOrElse(v, Vector.empty), s"${t.name} k=$k $from>$to '$v'")
+        }
+      }
+    }
   }
 
   private val schema = Schema(Vector(
