@@ -28,7 +28,7 @@ final case class GroundEx(ex: Example, raw: GIndex, expansions: Vector[GIndex], 
   * directly; only CFD repairs are enumerated, those of `cfds`, which is
   * empty for the systems that ignore CFD violations.
   */
-final class Coverage(cfds: Vector[CFD], schema: Schema, params: LearnParams) {
+class Coverage(cfds: Vector[CFD], schema: Schema, params: LearnParams) {
 
   /** Assemble a [[GroundEx]] from an already-built ground clause. An
     * expansion or union with the ground clause's head and body shares its
@@ -86,28 +86,45 @@ final class CoverageRecord(cov: Coverage, val clause: Clause, pos: Vector[Ground
   /** (positives covered among `ps`, negatives covered among `ns`), by
     * position; only undecided examples are tested.
     */
-  def counts(ps: Seq[Int], ns: Seq[Int]): (Int, Int) = {
-    decide(posState, ps)(i => cov.coversPos(expansion, pos(i)))
-    decide(negState, ns)(i => cov.coversNeg(expansion, neg(i)))
-    (ps.count(posState(_) == Covered), ns.count(negState(_) == Covered))
-  }
+  def counts(ps: Seq[Int], ns: Seq[Int]): (Int, Int) = countsAll(Seq(this), ps, ns).head
 
   /** The positives among `ps` that the clause does not cover, in order. */
   def uncoveredPos(ps: Vector[Int]): Vector[Int] = {
-    decide(posState, ps)(i => cov.coversPos(expansion, pos(i)))
+    countsAll(Seq(this), ps, Nil)
     ps.filter(posState(_) == NotCovered)
   }
 
-  private def decide(state: Array[Byte], ix: Seq[Int])(covers: Int => Boolean): Unit = {
-    val todo = ix.filter(state(_) == Unknown)
-    val hits = Par.map(todo)(covers)
-    for (k <- todo.indices)
-      state(todo(k)) = if (hits(k)) Covered else NotCovered
+  /** The undecided tests among `ps` and `ns`, each once: positive `i` as
+    * `i`, negative `i` as `-i - 1`.
+    */
+  private def undecided(ps: Seq[Int], ns: Seq[Int]): Iterator[Int] =
+    (ps.iterator.filter(posState(_) == Unknown) ++ ns.iterator.filter(negState(_) == Unknown).map(i => -i - 1))
+      .distinct
+
+  private def test(t: Int): Boolean =
+    if (t >= 0) cov.coversPos(expansion, pos(t)) else cov.coversNeg(expansion, neg(-t - 1))
+
+  private def decide(t: Int, hit: Boolean): Unit = {
+    val s = if (hit) Covered else NotCovered
+    if (t >= 0) posState(t) = s else negState(-t - 1) = s
   }
+
+  private def tally(ps: Seq[Int], ns: Seq[Int]): (Int, Int) =
+    (ps.count(posState(_) == Covered), ns.count(negState(_) == Covered))
 }
 
 private object CoverageRecord {
   val Unknown: Byte    = 0
   val Covered: Byte    = 1
   val NotCovered: Byte = 2
+
+  /** [[CoverageRecord.counts]] of each record, in order, over the same
+    * examples: the undecided tests of all records run in one parallel batch.
+    */
+  def countsAll(rs: Seq[CoverageRecord], ps: Seq[Int], ns: Seq[Int]): Vector[(Int, Int)] = {
+    val todo = rs.distinct.iterator.flatMap(r => r.undecided(ps, ns).map(t => (r, t))).toVector
+    val hits = Par.map(todo) { case (r, t) => r.test(t) }
+    for (k <- todo.indices) todo(k)._1.decide(todo(k)._2, hits(k))
+    rs.iterator.map(_.tally(ps, ns)).toVector
+  }
 }

@@ -84,11 +84,8 @@ final class DLearn(
             val big  = cands.exists(_.body.size > 50)
             val pEv  = if (big) posEval.take(math.max(10, posEval.size / 2)) else posEval
             val nEv  = if (big) negEval.take(math.max(20, negEval.size / 2)) else negEval
-            val scored = cands.map { c =>
-              val r      = record(c)
-              val (p, n) = r.counts(pEv, nEv)
-              (r, p - n)
-            }
+            val recs   = cands.map(record)
+            val scored = recs.zip(CoverageRecord.countsAll(recs, pEv, nEv).map { case (p, n) => p - n })
             val (r, s0) = scored.maxBy(x => (x._2, -x._1.clause.body.length))
             // Half-sample scores are only comparable within the round; the
             // winner is re-scored on the full eval sample before being

@@ -29,7 +29,17 @@ object Generalize {
       var r = 0
       while (r < f.size && !f.full) {
         f.load(r, m.theta)
-        m.extend(i) { f.add(m.theta); f.full }
+        // An extension binds only slots unbound in row r, each on the trail
+        // above `mark`: its hash is row r's plus their terms.
+        val mark = m.mark
+        val base = f.hash(r)
+        m.extend(i) {
+          var h = base
+          var t = mark
+          while (t < m.mark) { val s = m.trailed(t); h += Frontier.term(s, m.theta(s)); t += 1 }
+          f.add(m.theta, h)
+          f.full
+        }
         r += 1
       }
       // An empty extension marks a blocking literal: drop it, keep the frontier.
@@ -43,15 +53,25 @@ object Generalize {
   * each a row of `n` slots in one of two flat buffers of `cap` rows, swapped
   * after every step. The next frontier keeps the first `cap` distinct rows
   * added; an open-addressing table of row numbers finds duplicates by
-  * content, unbound (-1) slots included.
+  * content, unbound (-1) slots included. A row's hash is the sum of
+  * [[Frontier.term]] over its bound slots, so the caller can extend its
+  * parent row's hash by the slots it bound.
   */
 private final class Frontier(n: Int, cap: Int, start: Array[Int]) {
-  private var cur    = Arrays.copyOf(start, cap * n)
-  private var next   = new Array[Int](cap * n)
-  private val hashes = new Array[Int](cap)
-  private val slots  = new Array[Int](cap) // table slot of each next row
-  private val table  = new Array[Int](Integer.highestOneBit(math.max(cap, 1)) << 2) // next row + 1; 0 is empty
-  private var nNext  = 0
+  private var cur      = Arrays.copyOf(start, cap * n)
+  private var next     = new Array[Int](cap * n)
+  private var curHash  = new Array[Int](cap)
+  private var nextHash = new Array[Int](cap)
+  private val slots    = new Array[Int](cap) // table slot of each next row
+  private val table    = new Array[Int](Integer.highestOneBit(math.max(cap, 1)) << 2) // next row + 1; 0 is empty
+  private var nNext    = 0
+
+  curHash(0) = {
+    var h = 0
+    var k = 0
+    while (k < n) { if (start(k) >= 0) h += Frontier.term(k, start(k)); k += 1 }
+    h
+  }
 
   /** Rows in the current frontier. */
   var size: Int = 1
@@ -62,23 +82,22 @@ private final class Frontier(n: Int, cap: Int, start: Array[Int]) {
   /** Copy current row `r` into `theta`. */
   def load(r: Int, theta: Array[Int]): Unit = System.arraycopy(cur, r * n, theta, 0, n)
 
-  /** Add `theta` to the next frontier unless it holds an equal row. */
-  def add(theta: Array[Int]): Unit = {
-    var h = 1
-    var k = 0
-    while (k < n) { h = 31 * h + theta(k); k += 1 }
-    h ^= h >>> 16
-    h *= 0x85ebca6b
-    h ^= h >>> 13
+  /** Hash of current row `r`. */
+  def hash(r: Int): Int = curHash(r)
+
+  /** Add `theta`, whose hash is `h`, to the next frontier unless it holds an
+    * equal row.
+    */
+  def add(theta: Array[Int], h: Int): Unit = {
     val mask = table.length - 1
-    var s    = h & mask
+    var s    = (h ^ (h >>> 16)) & mask
     while (table(s) != 0) {
       val r = table(s) - 1
-      if (hashes(r) == h && Arrays.equals(next, r * n, r * n + n, theta, 0, n)) return
+      if (nextHash(r) == h && Arrays.equals(next, r * n, r * n + n, theta, 0, n)) return
       s = (s + 1) & mask
     }
     System.arraycopy(theta, 0, next, nNext * n, n)
-    hashes(nNext) = h
+    nextHash(nNext) = h
     slots(nNext) = s
     table(s) = nNext + 1
     nNext += 1
@@ -93,9 +112,26 @@ private final class Frontier(n: Int, cap: Int, start: Array[Int]) {
     val any = nNext > 0
     if (any) {
       val t = cur; cur = next; next = t
+      val th = curHash; curHash = nextHash; nextHash = th
       size = nNext
       nNext = 0
     }
     any
+  }
+}
+
+private object Frontier {
+
+  /** Hash term of slot `slot` bound to target term `value`: the 64-bit
+    * MurmurHash3 finalizer of the pair, cut to 32 bits.
+    */
+  def term(slot: Int, value: Int): Int = {
+    var x = (slot.toLong << 32) | (value & 0xffffffffL)
+    x ^= x >>> 33
+    x *= 0xff51afd7ed558ccdL
+    x ^= x >>> 33
+    x *= 0xc4ceb9fe1a85ec53L
+    x ^= x >>> 33
+    x.toInt
   }
 }

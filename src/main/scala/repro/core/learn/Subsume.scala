@@ -59,12 +59,24 @@ final class GIndex(val clause: Clause) {
     bs.map(_.result())
   }
 
-  /** (pred id, position, term id) → indexes into `lits`, in body order. */
-  private val byKey: mutable.LongMap[Array[Int]] = {
+  /** (pred id, position, term id) → indexes into `lits`, in body order: an
+    * open-addressing table with linear probing, the packed key of each slot
+    * in `keys` (-1 when empty) and its literals at the same slot of `found`.
+    */
+  private val (keys, found) = {
     val m = mutable.LongMap.empty[mutable.ArrayBuilder.ofInt]
     for (i <- lits.indices; pos <- lits(i).indices)
       m.getOrElseUpdate(GIndex.key(litPreds(i), pos, lits(i)(pos)), new mutable.ArrayBuilder.ofInt) += i
-    m.mapValuesNow(_.result())
+    val mask = (Integer.highestOneBit(math.max(m.size, 1)) << 2) - 1
+    val ks   = Array.fill(mask + 1)(-1L)
+    val fs   = new Array[Array[Int]](mask + 1)
+    m.foreachEntry { (k, b) =>
+      var s = GIndex.slot(k) & mask
+      while (ks(s) != -1L) s = (s + 1) & mask
+      ks(s) = k
+      fs(s) = b.result()
+    }
+    (ks, fs)
   }
 
   /** Id of constant `c`, or -1 when the clause does not hold it. */
@@ -75,16 +87,23 @@ final class GIndex(val clause: Clause) {
 
   /** Literals of predicate `pred` with term `term` at position `pos`. */
   private[learn] def narrowed(pred: Int, pos: Int, term: Int): Array[Int] = {
-    val c = byKey.getOrNull(GIndex.key(pred, pos, term))
-    if (c == null) GIndex.Empty else c
+    val k    = GIndex.key(pred, pos, term)
+    val mask = keys.length - 1
+    var s    = GIndex.slot(k) & mask
+    while (keys(s) != k && keys(s) != -1L) s = (s + 1) & mask
+    if (keys(s) == k) found(s) else GIndex.Empty
   }
 }
 
 private object GIndex {
   val Empty: Array[Int] = Array.emptyIntArray
 
+  /** A non-negative key: term ids are never negative. */
   def key(pred: Int, pos: Int, term: Int): Long =
     (pred.toLong << 40) | (pos.toLong << 32) | (term.toLong & 0xffffffffL)
+
+  /** Table slot of a key, before masking. */
+  def slot(k: Long): Int = ((k * 0x9e3779b97f4a7c15L) >>> 32).toInt
 }
 
 /** A candidate clause compiled for θ-subsumption and ARMG, once per clause
@@ -107,11 +126,21 @@ final class CompiledClause(c: Clause) {
   val preds: Array[Int]       = c.body.iterator.map(l => Preds.id(l.pred)).toArray
   val nVars: Int              = slots.size
   val consts: Array[Const]    = constIx.keysIterator.toArray
+
+  /** slot → its occurrences in the body, each `(literal << 16) | position`,
+    * in body order.
+    */
+  val occ: Array[Array[Int]] = {
+    val bs = Array.fill(nVars)(new mutable.ArrayBuilder.ofInt)
+    for (i <- args.indices; pos <- args(i).indices if args(i)(pos) >= 0) bs(args(i)(pos)) += (i << 16) | pos
+    bs.map(_.result())
+  }
 }
 
 /** Backtracking matcher of one compiled clause against one target: a mutable
   * substitution (slot → target term id, -1 when unbound) with a trail for
-  * undo.
+  * undo. After [[trackEstimates]], it also keeps every body literal's
+  * [[estimate]] current as slots are bound and unbound.
   */
 private final class Matcher(cc: CompiledClause, g: GIndex) {
   /** Target id of each clause constant; a constant absent from the target
@@ -129,13 +158,74 @@ private final class Matcher(cc: CompiledClause, g: GIndex) {
   private val trail: Array[Int] = new Array[Int](cc.nVars)
   private var top               = 0
 
+  /** Each body literal's estimate, or null while estimates are not tracked.
+    * Binding a slot can only lower the estimates of the literals that hold
+    * it; each lowered value is logged (`estLit`, `estOld`) and restored when
+    * the binding is undone, back to `estMark` of its trail position.
+    */
+  private var est: Array[Int]     = null
+  private var estLit: Array[Int]  = null
+  private var estOld: Array[Int]  = null
+  private var estMark: Array[Int] = null
+  private var estTop              = 0
+
+  /** Number of bindings on the trail. */
+  def mark: Int = top
+
+  /** Slot bound at trail position `t`. */
+  def trailed(t: Int): Int = trail(t)
+
   /** Target id an argument code resolves to, or -1 for an unbound slot. */
   private def value(code: Int): Int = if (code >= 0) theta(code) else constIds(-code - 1)
 
-  private def bind(slot: Int, term: Int): Unit = { theta(slot) = term; trail(top) = slot; top += 1 }
+  private def bind(slot: Int, term: Int): Unit = {
+    theta(slot) = term
+    trail(top) = slot
+    if (est != null) { estMark(top) = estTop; lower(slot, term) }
+    top += 1
+  }
 
   private def undo(mark: Int): Unit =
-    while (top > mark) { top -= 1; theta(trail(top)) = -1 }
+    while (top > mark) {
+      top -= 1
+      if (est != null) {
+        val m = estMark(top)
+        while (estTop > m) { estTop -= 1; est(estLit(estTop)) = estOld(estTop) }
+      }
+      theta(trail(top)) = -1
+    }
+
+  /** Update the estimates of the literals holding `slot`, just bound to
+    * `term`: a similarity literal with a bound side estimates 1; another
+    * literal takes the smaller of its estimate and the number of its
+    * predicate's facts with `term` at that position.
+    */
+  private def lower(slot: Int, term: Int): Unit = {
+    val os = cc.occ(slot)
+    var k  = 0
+    while (k < os.length) {
+      val i   = os(k) >>> 16
+      val old = est(i)
+      val e =
+        if (cc.preds(i) == Preds.Sim) 1
+        else math.min(old, g.narrowed(cc.preds(i), os(k) & 0xffff, term).length)
+      if (e != old) { estLit(estTop) = i; estOld(estTop) = old; estTop += 1; est(i) = e }
+      k += 1
+    }
+  }
+
+  /** Start keeping every body literal's [[estimate]] current, from the
+    * bindings made so far; returns the array the estimates are kept in.
+    */
+  def trackEstimates(): Array[Int] = {
+    val e    = Array.tabulate(cc.args.length)(estimate)
+    val nOcc = cc.occ.iterator.map(_.length).sum
+    estLit = new Array[Int](nOcc)
+    estOld = new Array[Int](nOcc)
+    estMark = new Array[Int](cc.nVars)
+    est = e
+    e
+  }
 
   /** Unify argument codes with target ids; on failure the bindings made
     * here are undone.
@@ -249,6 +339,7 @@ object Subsume {
     val m  = new Matcher(cc, g)
     if (!m.unify(cc.head, g.head)) return false
     val n        = cc.args.length
+    val ests     = m.trackEstimates()
     val done     = new Array[Boolean](n)
     val deferred = new Array[Boolean](n)
     var nodes    = 0
@@ -262,7 +353,7 @@ object Subsume {
       var j       = 0
       while (j < n) {
         if (!done(j)) {
-          val est = if (deferred(j) && m.openSim(j)) Int.MaxValue else m.estimate(j)
+          val est = if (deferred(j) && m.openSim(j)) Int.MaxValue else ests(j)
           if (best < 0 || est < bestEst) { best = j; bestEst = est }
         }
         j += 1

@@ -1,5 +1,9 @@
 package repro.core.logic
 
+import java.util.Arrays
+
+import scala.collection.mutable
+
 /** First-order logic core for DLearn: terms, literals, Horn clauses.
   *
   * Everything is an immutable case class, so clauses can be shared across the
@@ -70,52 +74,70 @@ final case class Clause(head: Literal, body: Vector[Literal]) {
     head.vars.subsetOf(bodyVars)
   }
 
-  /** Keep only body literals transitively connected to the head through
-    * shared variables (the paper's head-connectedness). Built-in literals
-    * (sim) act as connectors but cannot be the sole reason a relation
-    * literal is retained unless they link it to the connected component.
-    */
-  def headConnectedBody: Clause = {
-    var reached: Set[Var] = head.vars
-    var keep    = Vector.empty[Literal]
-    var pending = body
-    var changed = true
-    while (changed) {
-      changed = false
-      val (in, out) = pending.partition(l => l.vars.exists(reached.contains) || l.vars.isEmpty)
-      if (in.nonEmpty) {
-        keep ++= in
-        reached ++= in.flatMap(_.vars)
-        pending = out
-        changed = true
-      }
-    }
-    // Preserve original body order.
-    val keepSet = keep.toSet
-    copy(body = body.filter(keepSet.contains))
-  }
-
-  /** Drop sim literals that no longer touch any relation literal's
-    * variable (the paper removes restriction literals whose variables vanish
-    * from all schema-relation literals).
-    */
-  def dropDanglingBuiltins: Clause = {
-    val relVars: Set[Var] = body.filter(_.isRel).flatMap(_.vars).toSet ++ head.vars
-    copy(body = body.filter(l => l.isRel || l.vars.forall(relVars.contains)))
-  }
-
-  /** Fixpoint of head-connectivity pruning and dangling-builtin removal:
-    * removing a similarity literal can disconnect a relation
-    * literal and vice versa, so iterate until stable.
+  /** Keep the body literals that survive two prunings, repeated until
+    * neither removes anything (removing a similarity literal can disconnect
+    * a relation literal and vice versa):
+    *  - head-connectedness: a literal stays when it is ground or shares a
+    *    variable with the head, directly or through kept literals of either
+    *    kind;
+    *  - dangling built-ins: a similarity literal stays only while each of its
+    *    variables occurs in the head or in a kept relation literal (the paper
+    *    removes restriction literals whose variables vanish from all
+    *    schema-relation literals).
+    * Body order is kept.
     */
   def normalized: Clause = {
-    var cur  = this
-    var prev: Clause = null
-    while (cur != prev) {
-      prev = cur
-      cur = cur.headConnectedBody.dropDanglingBuiltins
+    val ids = mutable.HashMap.empty[Var, Int]
+    def varIds(l: Literal): Array[Int] =
+      l.args.iterator.collect { case v: Var => ids.getOrElseUpdate(v, ids.size) }.toArray
+    val headVars = varIds(head)
+    val litVars  = body.iterator.map(varIds).toArray
+    val isSim    = body.iterator.map(_.isSim).toArray
+    val n        = litVars.length
+    val alive    = Array.fill(n)(true)
+    val marked   = new Array[Boolean](ids.size)
+    val kept     = new Array[Boolean](n)
+    var nAlive   = n
+    var removed  = true
+    while (removed) {
+      removed = false
+      // Head-connectedness: mark the variables reached from the head.
+      Arrays.fill(marked, false)
+      headVars.foreach(marked(_) = true)
+      Arrays.fill(kept, false)
+      var grew = true
+      while (grew) {
+        grew = false
+        var i = 0
+        while (i < n) {
+          if (alive(i) && !kept(i) && (litVars(i).isEmpty || litVars(i).exists(marked(_)))) {
+            kept(i) = true
+            litVars(i).foreach(marked(_) = true)
+            grew = true
+          }
+          i += 1
+        }
+      }
+      var i = 0
+      while (i < n) {
+        if (alive(i) && !kept(i)) { alive(i) = false; nAlive -= 1; removed = true }
+        i += 1
+      }
+      // Dangling built-ins: mark the variables of the head and relation literals.
+      Arrays.fill(marked, false)
+      headVars.foreach(marked(_) = true)
+      i = 0
+      while (i < n) {
+        if (alive(i) && !isSim(i)) litVars(i).foreach(marked(_) = true)
+        i += 1
+      }
+      i = 0
+      while (i < n) {
+        if (alive(i) && isSim(i) && !litVars(i).forall(marked(_))) { alive(i) = false; nAlive -= 1; removed = true }
+        i += 1
+      }
     }
-    cur
+    if (nAlive == n) this else copy(body = body.indices.iterator.filter(alive(_)).map(body).toVector)
   }
 
   def render: String = head.render + " :- " + body.map(_.render).mkString(", ")

@@ -106,6 +106,38 @@ class CoverageSpec extends AnyFunSuite {
     assert(posFirst.counts(Vector(0), Vector(0)) == ((0, 1)))
   }
 
+  test("countsAll over several records equals counting one record at a time, testing each once") {
+    val tests = new java.util.concurrent.ConcurrentLinkedQueue[(Vector[Clause], Vector[String], Boolean)]
+    val counting = new Coverage(cfds, schema, LearnParams()) {
+      override def coversPos(cExp: Vector[Clause], g: GroundEx): Boolean = {
+        tests.add((cExp, g.ex.args, true)); super.coversPos(cExp, g)
+      }
+      override def coversNeg(cExp: Vector[Clause], g: GroundEx): Boolean = {
+        tests.add((cExp, g.ex.args, false)); super.coversNeg(cExp, g)
+      }
+    }
+    val head = Literal("t", Vector(x))
+    val clauses = Vector(
+      cR,
+      Clause(head, Vector(Literal("rating", Vector(x, C("PG"))))),
+      Clause(head, Vector(Literal("rating", Vector(x, C("R"))), Literal("rating", Vector(x, C("PG"))))),
+      Clause(head, Vector(Literal("rating", Vector(x, Var("y"))))),
+    )
+    val pos = Vector(groundEx("p1", "R"), groundEx("p2", "R", "PG"), groundEx("p3", "G"), groundEx("p4", "PG"))
+    val neg = Vector(groundEx("n1", "PG"), groundEx("n2", "PG", "R"), groundEx("n3", "G"))
+    val batched = clauses.map(new CoverageRecord(counting, _, pos, neg))
+    val single  = clauses.map(new CoverageRecord(cov, _, pos, neg))
+    // Overlapping example sets, and a record listed twice.
+    for ((ps, ns) <- Seq((Vector(0, 2), Vector(1)), (pos.indices, neg.indices), (Vector(3, 1), Vector(2, 0)))) {
+      val listed = batched :+ batched(0)
+      assert(CoverageRecord.countsAll(listed, ps, ns) == (single :+ single(0)).map(_.counts(ps, ns)))
+    }
+    assert(batched.map(_.uncoveredPos(pos.indices.toVector)) == single.map(_.uncoveredPos(pos.indices.toVector)))
+    val seen = tests.toArray.toVector
+    assert(seen.distinct.length == seen.length, "a (clause, example, sense) test ran twice")
+    assert(seen.length == clauses.length * (pos.length + neg.length))
+  }
+
   test("Par.map preserves order and arity") {
     val xs = (1 to 100).toVector
     assert(Par.map(xs)(_ * 2) == xs.map(_ * 2))

@@ -3,11 +3,12 @@ package repro.core.learn
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
-import repro.core.logic.{Clause, Literal}
+import repro.core.logic.{Clause, Literal, ReferenceNormalize}
 
 /** ARMG as first written, independent of [[Frontier]]: the frontier is a
   * `LinkedHashSet` of substitution copies, which keeps the first
-  * `maxFrontier` distinct ones in insertion order.
+  * `maxFrontier` distinct ones in insertion order, and [[ReferenceNormalize]]
+  * in place of `Clause.normalized`.
   */
 object ReferenceArmg {
   def armg(c: Clause, g: GIndex, maxFrontier: Int): Clause = {
@@ -28,6 +29,6 @@ object ReferenceArmg {
         frontier = ext.toVector
       }
     }
-    Clause(c.head, kept.result()).normalized
+    ReferenceNormalize.normalized(Clause(c.head, kept.result()))
   }
 }

@@ -169,4 +169,51 @@ class SubsumePropSpec extends AnyFunSuite {
       Generalize.armg(c, gi, maxFrontier = cap) == ReferenceArmg.armg(c, gi, cap)
     }, minTests = 20000)
   }
+
+  test("subsumes equals the full-rescan reference at every node cap") {
+    // A capped answer depends on the order of the search nodes, so agreement
+    // at small caps pins the search order, not only the result.
+    val caps = Seq(1, 2, 3, 5, 8, 13, 50, 5000)
+    Props.check(Prop.forAll(Gen.oneOf(clauseGen, armgClauseGen), targetGen) { (c, g) =>
+      val gi = new GIndex(g)
+      caps.forall(cap => Subsume.subsumes(c, gi, cap) == ReferenceSubsume.subsumes(c, gi, cap))
+    }, minTests = 20000)
+  }
+
+  // ---- normalized against its reference fixpoint
+
+  private val normVarGen: Gen[Var]   = Gen.oneOf("x", "y", "z", "w", "u", "v").map(Var(_))
+  private val normTermGen: Gen[Term] = Gen.frequency(4 -> normVarGen, 1 -> constGen)
+
+  /** A relation or similarity literal; one in four is ground. */
+  private val normLitGen: Gen[Literal] = for {
+    p      <- anyPredGen
+    ground <- Gen.frequency(3 -> false, 1 -> true)
+    as     <- Gen.listOfN(2, if (ground) constGen else normTermGen)
+  } yield Literal(p, as.toVector)
+
+  /** A chain p(v0, v1), q(v1, v2), … of relation and similarity literals. */
+  private val chainGen: Gen[Vector[Literal]] = for {
+    k     <- Gen.choose(1, 4)
+    vs    <- Gen.listOfN(k + 1, normVarGen)
+    preds <- Gen.listOfN(k, anyPredGen)
+  } yield preds.indices.map(i => Literal(preds(i), Vector(vs(i), vs(i + 1)))).toVector
+
+  /** Random literals, a chain and repeats of some of them, shuffled, under a
+    * head with zero, one or two variables.
+    */
+  private val normClauseGen: Gen[Clause] = for {
+    head  <- Gen.oneOf(Vector(Var("x")), Vector(Var("x"), Var("y")), Vector(Const("a")))
+    lits  <- Gen.choose(0, 8).flatMap(Gen.listOfN(_, normLitGen))
+    chain <- chainGen
+    dups  <- Gen.someOf(lits ++ chain)
+    all    = (lits ++ chain ++ dups).toVector
+    keys  <- Gen.listOfN(all.length, Gen.choose(0, 1000))
+  } yield Clause(Literal("t", head), all.zip(keys).sortBy(_._2).map(_._1))
+
+  test("normalized equals the reference fixpoint") {
+    Props.check(Prop.forAll(normClauseGen) { c =>
+      c.normalized == ReferenceNormalize.normalized(c)
+    }, minTests = 20000)
+  }
 }

@@ -52,7 +52,7 @@ class ResolutionSpec extends SparkSpec {
     assert(resolved(Seq("tavo rizel y", "tavo rizel x"), Seq("tavo rizel")) == Vector("tavo rizel x"))
   }
 
-  test("resolveAll unifies the second side's vocabulary into the first") {
+  test("resolve unifies the second side's vocabulary into the first") {
     val db  = twoSides(Seq("tavo rizel maku"), Seq("tavo rizel maku (1994)", "qqq zzz www"))
     val out = Resolution.resolve(db, Vector(nameMd))
     assert(out.tuples("r2").map(_.toSeq) == Seq(Seq("b1", "tavo rizel maku"), Seq("b2", "qqq zzz www")),
@@ -61,7 +61,7 @@ class ResolutionSpec extends SparkSpec {
     assert(db.tuples("r2").map(_(1)) == Seq("tavo rizel maku (1994)", "qqq zzz www"), "input is not modified")
   }
 
-  test("resolveAll handles multiple MDs sequentially") {
+  test("resolve handles multiple MDs sequentially") {
     val db = new Database(
       Schema(Vector(
         RelSpec("r1", Vector("id", "name", "venue"), Set.empty),
